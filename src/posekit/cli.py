@@ -217,7 +217,9 @@ def _cmd_weights(args) -> int:
     if args.compare:
         truth = load_weights(args.compare)
         payload["skinning_loss"] = skinning_loss(weights, truth)
-        payload["max_abs_diff"] = float(abs(weights.weights - truth.weights).max())
+        diff = abs(weights.weights - truth.weights)
+        payload["max_abs_diff"] = float(diff.max())
+        payload["mean_abs_diff"] = float(diff.mean())
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
 

@@ -7,7 +7,16 @@ from typing import Callable
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import Mesh, edge_lengths
+
+
+_FIELD_OF_LOSS = {
+    "keypoint": "lambda_k",
+    "skin": "lambda_skin",
+    "cycle": "lambda_cycle",
+    "self": "lambda_self",
+    "edge": "lambda_edge",
+}
 
 
 @dataclass
@@ -26,11 +35,20 @@ class LossWeights:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LossWeights":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(data) - known
+        """Read field names (``lambda_k``, ...) or loss names (``keypoint``, ...).
+
+        The loss names are the keys of ``LossBreakdown.to_dict``.
+        """
+        bad = set(data) - set(cls.__dataclass_fields__) - set(_FIELD_OF_LOSS)
         if bad:
             raise ValueError(f"unknown loss weight keys: {sorted(bad)}")
-        return cls(**data)
+        kwargs = {}
+        for key, value in data.items():
+            name = _FIELD_OF_LOSS.get(key, key)
+            if name in kwargs:
+                raise ValueError(f"loss weight {name} given twice")
+            kwargs[name] = value
+        return cls(**kwargs)
 
     def to_dict(self) -> dict:
         return {
@@ -95,18 +113,34 @@ def total_loss(
     )
 
 
+def _lengths(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(vertices[edges[:, 0]] - vertices[edges[:, 1]], axis=1)
+
+
+def edge_term(
+    deformed_vertices: np.ndarray, edges: np.ndarray, rest_lengths: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean squared edge-length difference against precomputed rest lengths.
+
+    ``rest_lengths`` holds one length per row of ``edges``, so a caller that
+    evaluates many deformations of one mesh measures its rest edges once.
+    Returns the value and the deformed edge lengths, which lets the caller
+    reject a collapsed edge without measuring the edges again.
+    """
+    d = np.asarray(deformed_vertices, dtype=np.float64)
+    ld = _lengths(d, edges)
+    if edges.shape[0] == 0:
+        return 0.0, ld
+    diff = ld - rest_lengths
+    return float(np.mean(diff * diff)), ld
+
+
 def edge_discrepancy(
     source_vertices: np.ndarray, deformed_vertices: np.ndarray, edges: np.ndarray
 ) -> float:
     """Mean squared edge-length difference over an explicit edge list."""
-    if edges.shape[0] == 0:
-        return 0.0
     s = np.asarray(source_vertices, dtype=np.float64)
-    d = np.asarray(deformed_vertices, dtype=np.float64)
-    ls = np.linalg.norm(s[edges[:, 0]] - s[edges[:, 1]], axis=1)
-    ld = np.linalg.norm(d[edges[:, 0]] - d[edges[:, 1]], axis=1)
-    diff = ld - ls
-    return float(np.mean(diff * diff))
+    return edge_term(deformed_vertices, edges, _lengths(s, edges))[0]
 
 
 def edge_loss(source: Mesh, deformed: Mesh) -> float:
@@ -117,7 +151,7 @@ def edge_loss(source: Mesh, deformed: Mesh) -> float:
     """
     if not source.same_connectivity(deformed):
         raise ValueError("edge_loss requires identical connectivity")
-    return edge_discrepancy(source.vertices, deformed.vertices, source.edges)
+    return edge_term(deformed.vertices, source.edges, edge_lengths(source))[0]
 
 
 def edge_discrepancy_gradient(

@@ -119,18 +119,18 @@ def skinning_loss(predicted: SkinningMatrix, pseudo: SkinningMatrix) -> float:
     return float(np.mean(d * d))
 
 
-def lbs_apply(
-    source: Mesh, weights: SkinningMatrix, transforms: BoneTransformSet
-) -> Mesh:
-    """Deform a mesh by blending per-bone affine maps.
+def lbs_blend(
+    vertices: np.ndarray, weights: SkinningMatrix, transforms: BoneTransformSet
+) -> np.ndarray:
+    """Blend per-bone affine maps over an (N, 3) vertex array.
 
     Each vertex gets the weight-blended affine G_i = sum_k w_ik A_k applied
-    to it. Connectivity is carried over unchanged.
+    to it. Returns the posed (N, 3) array.
     """
-    if weights.n_vertices != source.n_vertices:
+    if weights.n_vertices != vertices.shape[0]:
         raise ValueError(
             f"weights cover {weights.n_vertices} vertices, "
-            f"mesh has {source.n_vertices}"
+            f"mesh has {vertices.shape[0]}"
         )
     if weights.n_bones != transforms.n_bones:
         raise ValueError(
@@ -140,5 +140,11 @@ def lbs_apply(
     w = weights.weights
     rot = np.einsum("nk,kij->nij", w, transforms.rotations)
     t = w @ transforms.translations
-    posed = np.einsum("nij,nj->ni", rot, source.vertices) + t
-    return Mesh(posed, source.faces.copy())
+    return np.einsum("nij,nj->ni", rot, vertices) + t
+
+
+def lbs_apply(
+    source: Mesh, weights: SkinningMatrix, transforms: BoneTransformSet
+) -> Mesh:
+    """Deform a mesh by ``lbs_blend``. Connectivity is carried over unchanged."""
+    return Mesh(lbs_blend(source.vertices, weights, transforms), source.faces.copy())

@@ -22,13 +22,13 @@ from .kinematics import (
     regress_keypoints,
     scalable_ik,
 )
-from .mesh import Mesh, load_mesh, pmd, save_mesh
+from .mesh import Mesh, edge_lengths, load_mesh, pmd, save_mesh
 from .objectives import (
     LossBreakdown,
     LossWeights,
     edge_discrepancy,
     edge_discrepancy_gradient,
-    edge_loss,
+    edge_term,
     numerical_gradient,
     total_loss,
 )
@@ -39,6 +39,7 @@ from .skinning import (
     default_radii,
     gmm_weights,
     lbs_apply,
+    lbs_blend,
     save_weights,
 )
 
@@ -68,6 +69,14 @@ class GmmSettings:
     temperature: float = 2.0
     radii: np.ndarray | None = None
     optimize_radii: bool = False
+
+
+def _settings(cls, block: str, data: dict, **extra):
+    """Build a settings dataclass from a config block, rejecting unknown keys."""
+    bad = set(data) - set(cls.__dataclass_fields__)
+    if bad:
+        raise ValueError(f"unknown {block} keys: {sorted(bad)}")
+    return cls(**data, **extra)
 
 
 @dataclass
@@ -103,14 +112,16 @@ class TransferConfig:
         if "gmm" in data:
             g = dict(data["gmm"])
             radii = g.pop("radii", None)
-            cfg.gmm = GmmSettings(
+            cfg.gmm = _settings(
+                GmmSettings,
+                "gmm",
+                g,
                 radii=None if radii is None else np.asarray(radii, dtype=np.float64),
-                **g,
             )
         if "optimizer" in data:
-            cfg.optimizer = OptimizerSettings(**data["optimizer"])
+            cfg.optimizer = _settings(OptimizerSettings, "optimizer", data["optimizer"])
         if "refinement" in data:
-            cfg.refinement = RefinementSettings(**data["refinement"])
+            cfg.refinement = _settings(RefinementSettings, "refinement", data["refinement"])
         return cfg
 
     @classmethod
@@ -156,7 +167,7 @@ class TransferResult:
     losses: list[LossBreakdown]
 
 
-def _minimize(f, x0, max_iters, step_size, tolerance, grad=None):
+def _minimize(f, x0, max_iters, step_size, tolerance, grad=None, on_accept=None):
     """Gradient descent with Armijo backtracking.
 
     Returns the final point, the accepted objective values and the accepted
@@ -164,19 +175,34 @@ def _minimize(f, x0, max_iters, step_size, tolerance, grad=None):
     a step is only taken when it strictly decreases the objective. The
     trial step doubles after an accepted step and halves on rejection, so
     no problem-specific step tuning is needed.
+
+    ``f`` returns ``inf`` (or any non-finite value) to reject a point; a
+    line-search trial is then halved, while a finite-difference probe or a
+    start point raises DivergenceError. Exceptions raised by ``f`` or
+    ``grad`` propagate unchanged.
+
+    ``on_accept()``, when given, is called right after the evaluation of
+    ``f`` at each accepted point (the start included), before any other
+    evaluation, so a caller can keep what that evaluation computed.
     """
+
+    def probe(p):
+        v = float(f(p))
+        if not np.isfinite(v):
+            raise DivergenceError("non-finite objective at a probe point")
+        return v
+
     x = np.asarray(x0, dtype=np.float64).copy()
     fx = float(f(x))
     if not np.isfinite(fx):
         raise DivergenceError("objective is not finite at the starting point")
+    if on_accept is not None:
+        on_accept()
     values = [fx]
     points = [x.copy()]
     trial = float(step_size)
     for _ in range(int(max_iters)):
-        try:
-            g = grad(x) if grad is not None else numerical_gradient(f, x)
-        except ValueError as exc:
-            raise DivergenceError(str(exc)) from None
+        g = grad(x) if grad is not None else numerical_gradient(probe, x)
         g2 = float(np.dot(g, g))
         if g2 == 0.0:
             break
@@ -191,6 +217,8 @@ def _minimize(f, x0, max_iters, step_size, tolerance, grad=None):
             t *= 0.5
         if not accepted:
             break
+        if on_accept is not None:
+            on_accept()
         drop = fx - fn
         x, fx = xn, fn
         values.append(fx)
@@ -255,11 +283,16 @@ def pose_transfer(
 
     n_bones = tree.n_bones
     lw = config.loss_weights
+    edges = source.edges
+    rest_lengths = edge_lengths(source)
 
     def build(params):
+        """Weights, bone transforms and twists; None if the radii underflow."""
         phi = TwistAngles.wrap(params[:n_bones])
         if optimize_radii:
             radii = np.exp(params[n_bones:])
+            if not (radii > 0).all():
+                return None
             w = gmm_weights(c_mesh.vertices, GmmParams(centers, radii, temperature))
         else:
             w = weights
@@ -267,33 +300,38 @@ def pose_transfer(
         tf = forward_kinematics(
             source_kp, rel, tree, root_position=target_kp.joints[0]
         )
-        coarse = lbs_apply(source, w, tf)
-        return coarse, w, tf, phi
+        return w, tf, phi
 
-    def breakdown_of(params):
-        coarse, _, _, _ = build(params)
-        e = edge_loss(source, coarse)
-        sr = pmd(coarse, target_mesh) if target_mesh is not None else 0.0
-        return total_loss(lw, self_recon=sr, edge=e)
+    history = []
+    latest = None  # breakdown of the last evaluation past the rejection checks
 
     def objective(params):
-        try:
-            return breakdown_of(params).total
-        except ValueError:
+        nonlocal latest
+        built = build(params)
+        if built is None:
             return np.inf
+        w, tf, _ = built
+        posed = lbs_blend(source.vertices, w, tf)
+        e, lengths = edge_term(posed, edges, rest_lengths)
+        if (lengths == 0.0).any():
+            return np.inf
+        sr = pmd(posed, target_mesh.vertices) if target_mesh is not None else 0.0
+        latest = total_loss(lw, self_recon=sr, edge=e)
+        return latest.total
 
     x0 = np.zeros(n_bones, dtype=np.float64)
     if optimize_radii:
         x0 = np.concatenate([x0, np.log(base_radii)])
-    x, _, iterates = _minimize(
+    x, _, _ = _minimize(
         objective,
         x0,
         config.optimizer.max_iters,
         config.optimizer.step_size,
         config.optimizer.tolerance,
+        on_accept=lambda: history.append(latest),
     )
-    history = [breakdown_of(p) for p in iterates]
-    coarse, w, tf, phi = build(x)
+    w, tf, phi = build(x)
+    coarse = lbs_apply(source, w, tf)
     refined = refine(coarse, source, config) if config.refinement.enabled else coarse
     return TransferResult(
         coarse=coarse,
@@ -419,7 +457,7 @@ def cycle_reconstruct(
         tf1 = forward_kinematics(
             source_kp, rel1, tree, root_position=target_kp.joints[0]
         )
-        inter = lbs_apply(source, w1, tf1)
+        inter = lbs_blend(source.vertices, w1, tf1)
         if intermediate_regressor is not None:
             inter_kp = regress_keypoints(inter, intermediate_regressor)
         else:
@@ -428,19 +466,19 @@ def cycle_reconstruct(
         tf2 = forward_kinematics(
             third_kp, rel2, tree, root_position=inter_kp.joints[0]
         )
-        out = lbs_apply(third, w2, tf2)
+        out = lbs_blend(third.vertices, w2, tf2)
         return inter, out
 
-    def breakdown_of(params):
-        inter, out = build(params)
-        e = edge_loss(source, inter) + edge_loss(third, out)
-        return total_loss(lw, cycle=pmd(out, target), edge=e)
+    source_edges, source_rest = source.edges, edge_lengths(source)
+    third_edges, third_rest = third.edges, edge_lengths(third)
 
     def objective(params):
-        try:
-            return breakdown_of(params).total
-        except ValueError:
+        inter, out = build(params)
+        e1, l1 = edge_term(inter, source_edges, source_rest)
+        e2, l2 = edge_term(out, third_edges, third_rest)
+        if (l1 == 0.0).any() or (l2 == 0.0).any():
             return np.inf
+        return total_loss(lw, cycle=pmd(out, target.vertices), edge=e1 + e2).total
 
     x, _, _ = _minimize(
         objective,
@@ -450,6 +488,7 @@ def cycle_reconstruct(
         config.optimizer.tolerance,
     )
     _, out = build(x)
+    out = third.with_vertices(out)
     if config.refinement.enabled:
         out = refine(out, third, config)
     return pmd(out, target)

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import posekit
 from posekit import (
     TransferConfig,
     make_puppet,
@@ -145,6 +148,23 @@ def test_transfer_overflowing_source_exits_2(puppet_files, capsys):
     assert code == 2
 
 
+def test_transfer_config_typo_exits_1(puppet_files, capsys):
+    d, _ = puppet_files
+    config = {"tree": "tree.json", "optimizer": {"max_iter": 3}}
+    (d / "config.json").write_text(json.dumps(config))
+    code = main([
+        "transfer",
+        "--source", str(d / "rest.obj"),
+        "--source-kp", str(d / "rest_kp.json"),
+        "--target-kp", str(d / "posed_kp.json"),
+        "--config", str(d / "config.json"),
+        "--out", str(d / "out"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown optimizer keys: ['max_iter']")
+
+
 def test_eval_same_connectivity(puppet_files, capsys):
     d, _ = puppet_files
     code, payload = run_cli(
@@ -233,6 +253,7 @@ def test_weights_export_and_compare(puppet_files, capsys):
     assert payload["bones"] == 2
     # generator weights equal the Gaussian soft assignment on this figure
     assert payload["max_abs_diff"] <= 1e-12
+    assert 0.0 <= payload["mean_abs_diff"] <= payload["max_abs_diff"]
     assert payload["skinning_loss"] <= 1e-24
     assert (d / "w.csv").is_file()
 
@@ -284,10 +305,18 @@ def test_seed_env_override(puppet_files, capsys, monkeypatch):
 
 def test_console_script_runs(puppet_files):
     d, _ = puppet_files
+    # the child interpreter imports the same posekit as this test run,
+    # which pytest may have put on sys.path without an install
+    package_root = str(Path(posekit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "posekit.cli", "eval", str(d / "rest.obj"), str(d / "rest.obj")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pmd"] == 0.0

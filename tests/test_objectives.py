@@ -8,6 +8,7 @@ from posekit import (
     edge_discrepancy,
     edge_discrepancy_gradient,
     edge_loss,
+    edge_term,
     numerical_gradient,
     total_loss,
 )
@@ -31,6 +32,21 @@ def test_loss_weights_dict_round_trip():
     assert LossWeights.from_dict(w.to_dict()) == w
     with pytest.raises(ValueError, match="unknown"):
         LossWeights.from_dict({"lambda_q": 1.0})
+
+
+def test_loss_weights_accept_loss_names():
+    # the names of LossBreakdown.to_dict, as written in losses.jsonl
+    w = LossWeights.from_dict(
+        {"keypoint": 3.0, "skin": 0.1, "cycle": 0.5, "self": 2.0, "edge": 0.25}
+    )
+    assert w == LossWeights(3.0, 0.1, 0.5, 2.0, 0.25)
+    assert LossWeights.from_dict({"self": 2.0, "lambda_edge": 0.5}) == LossWeights(
+        lambda_self=2.0, lambda_edge=0.5
+    )
+    with pytest.raises(ValueError, match="twice"):
+        LossWeights.from_dict({"edge": 1.0, "lambda_edge": 1.0})
+    with pytest.raises(ValueError, match=r"\['total'\]"):
+        LossWeights.from_dict({"total": 1.0})
 
 
 def test_total_loss_default_weights_unit_components():
@@ -68,6 +84,23 @@ def test_edge_discrepancy_mean_over_edges():
     e = np.array([[0, 1], [1, 2]])
     # per-edge squared diffs: (2-1)^2 and (3-1)^2, averaged
     assert edge_discrepancy(s, d, e) == pytest.approx(2.5, abs=1e-15)
+
+
+def test_edge_term_uses_given_rest_lengths():
+    d = np.array([[0.0, 0, 0], [3.0, 0, 0], [3.0, 4.0, 0]])
+    e = np.array([[0, 1], [1, 2]])
+    value, lengths = edge_term(d, e, np.array([1.0, 4.0]))
+    assert np.array_equal(lengths, [3.0, 4.0])
+    assert value == pytest.approx(2.0, abs=1e-15)  # (2^2 + 0^2) / 2
+    value, lengths = edge_term(d, np.zeros((0, 2), int), np.zeros(0))
+    assert value == 0.0 and lengths.shape == (0,)
+
+
+def test_edge_loss_equals_edge_discrepancy():
+    rng = np.random.default_rng(3)
+    a = path_mesh(rng.normal(size=(4, 3)))
+    b = a.with_vertices(rng.normal(size=(4, 3)))
+    assert edge_loss(a, b) == edge_discrepancy(a.vertices, b.vertices, a.edges)
 
 
 def test_edge_discrepancy_empty():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,14 @@ from posekit import (
     self_reconstruct,
     cycle_reconstruct,
     save_result,
+    LossWeights,
+    Mesh,
+    TwistAngles,
+    forward_kinematics,
+    lbs_apply,
+    scalable_ik,
+    total_loss,
+    transfer,
 )
 from posekit.transfer import _minimize, load_manifest
 
@@ -523,3 +532,186 @@ def test_transfer_nan_mesh_diverges():
     bad.vertices[0, 0] = np.nan
     with pytest.raises(DivergenceError):
         pose_transfer(bad, p.rest_keypoints, p.posed_keypoints, puppet_config(p))
+
+
+# -- objective on vertex arrays --
+
+
+def count_meshes(monkeypatch):
+    """Count Mesh constructions from here on."""
+    built = []
+    post_init = Mesh.__post_init__
+
+    def counted(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(Mesh, "__post_init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("max_iters", [2, 8])
+def test_pose_transfer_builds_meshes_only_at_the_boundary(monkeypatch, max_iters):
+    p = make_puppet(2, 0.4, 0.3, seed=0)
+    built = count_meshes(monkeypatch)
+    res = pose_transfer(
+        p.rest_mesh,
+        p.rest_keypoints,
+        p.posed_keypoints,
+        puppet_config(p, max_iters=max_iters),
+        target_mesh=p.posed_mesh,
+        weights=p.weights,
+    )
+    assert len(res.losses) == max_iters + 1  # every step was taken
+    assert len(built) == 2  # the coarse and the refined mesh
+
+
+@pytest.mark.parametrize("max_iters", [2, 8])
+def test_cycle_reconstruct_builds_meshes_only_at_the_boundary(monkeypatch, max_iters):
+    a = make_puppet(2, 0.6, 0.4, seed=0)
+    b = make_puppet(2, 0.6, 0.4, seed=7, radius=0.3)
+    c = make_puppet(2, 0.3, 0.0, seed=7, radius=0.3)
+    built = count_meshes(monkeypatch)
+    cycle_reconstruct(
+        a.rest_mesh,
+        a.rest_keypoints,
+        b.posed_mesh,
+        b.posed_keypoints,
+        c.posed_mesh,
+        c.posed_keypoints,
+        puppet_config(a, max_iters=max_iters),
+    )
+    assert len(built) == 2  # the second hop's output and its refinement
+
+
+def test_losses_match_fresh_mesh_breakdowns(monkeypatch):
+    # each history entry equals edge_loss/pmd recomputed on Mesh objects at
+    # the optimizer's accepted iterate
+    p = make_puppet(3, 0.5, 0.3, seed=4)
+    cfg = puppet_config(p, max_iters=12)
+    solves = []  # accepted points of each _minimize call: twists, then refine
+    real = transfer._minimize
+
+    def keep_points(*args, **kwargs):
+        x, values, points = real(*args, **kwargs)
+        solves.append(points)
+        return x, values, points
+
+    monkeypatch.setattr(transfer, "_minimize", keep_points)
+    res = pose_transfer(
+        p.rest_mesh,
+        p.rest_keypoints,
+        p.posed_keypoints,
+        cfg,
+        target_mesh=p.posed_mesh,
+        weights=p.weights,
+    )
+    iterates = solves[0]
+    assert len(res.losses) == len(iterates) == 13
+    for params, got in zip(iterates, res.losses):
+        phi = TwistAngles.wrap(params)
+        rel = scalable_ik(p.rest_keypoints, p.posed_keypoints, phi, p.tree)
+        tf = forward_kinematics(
+            p.rest_keypoints, rel, p.tree, root_position=p.posed_keypoints.joints[0]
+        )
+        coarse = lbs_apply(p.rest_mesh, p.weights, tf)
+        want = total_loss(
+            cfg.loss_weights,
+            self_recon=pmd(coarse, p.posed_mesh),
+            edge=edge_loss(p.rest_mesh, coarse),
+        )
+        assert got == want
+
+
+def test_objective_bug_is_not_mistaken_for_a_rejected_step(monkeypatch):
+    # a shape bug past the first evaluation must surface with its own
+    # message, not pass for a rejected step that ends the line search
+    p = make_puppet(2, 0.4, 0.3, seed=0)
+    real = transfer.scalable_ik
+    calls = []
+
+    def buggy_ik(*args):
+        calls.append(1)
+        rel = real(*args)
+        return rel if len(calls) == 1 else rel[:-1]
+
+    monkeypatch.setattr(transfer, "scalable_ik", buggy_ik)
+    with pytest.raises(ValueError, match="one 3x3 rotation per bone"):
+        pose_transfer(
+            p.rest_mesh,
+            p.rest_keypoints,
+            p.posed_keypoints,
+            puppet_config(p),
+            target_mesh=p.posed_mesh,
+            weights=p.weights,
+        )
+
+
+def test_step_that_collapses_an_edge_is_rejected(monkeypatch):
+    p = make_puppet(2, 0.4, 0.5, seed=0)
+    limit = 0.1
+    seen = {"collapsed": 0}
+    real_ik, real_blend = transfer.scalable_ik, transfer.lbs_blend
+
+    def ik(source, target, twists, tree):
+        seen["phi"] = twists.phi
+        return real_ik(source, target, twists, tree)
+
+    def blend(vertices, weights, transforms):
+        out = real_blend(vertices, weights, transforms)
+        if np.abs(seen["phi"]).max() > limit:
+            # a near-perfect fit with one collapsed edge: accepted unless rejected
+            out = p.posed_mesh.vertices.copy()
+            out[1] = out[0]
+            seen["collapsed"] += 1
+        return out
+
+    monkeypatch.setattr(transfer, "scalable_ik", ik)
+    monkeypatch.setattr(transfer, "lbs_blend", blend)
+    res = pose_transfer(
+        p.rest_mesh,
+        p.rest_keypoints,
+        p.posed_keypoints,
+        puppet_config(p, max_iters=3),
+        target_mesh=p.posed_mesh,
+        weights=p.weights,
+    )
+    assert seen["collapsed"] > 0
+    assert np.abs(res.twists.phi).max() <= limit
+    assert len(res.losses) == 4
+
+
+def test_underflowing_radii_reject_the_step():
+    # a huge first trial step drives some log-radii far below zero; exp
+    # underflows to 0 there, and the step must be rejected, not raise
+    p = make_puppet(2, 0.4, 0.5, seed=0)
+    cfg = puppet_config(p, max_iters=3, step_size=1e8)
+    cfg.gmm.optimize_radii = True
+    with np.errstate(all="ignore"):
+        res = pose_transfer(
+            p.rest_mesh,
+            p.rest_keypoints,
+            p.posed_keypoints,
+            cfg,
+            target_mesh=p.posed_mesh,
+        )
+    totals = [b.total for b in res.losses]
+    assert len(totals) == 4
+    assert all(b < a for a, b in zip(totals, totals[1:]))
+
+
+def test_config_rejects_unknown_block_keys():
+    for block in ("optimizer", "refinement", "gmm"):
+        with pytest.raises(ValueError, match=rf"unknown {block} keys: \['max_iter'\]"):
+            TransferConfig.from_dict({"tree": "smpl_24", block: {"max_iter": 3}})
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [b.split("```", 1)[0] for b in readme.split("```json\n")[1:]]
+    (example,) = [b for b in blocks if '"loss_weights"' in b]
+    cfg = TransferConfig.from_dict(json.loads(example))
+    assert cfg.tree.n_joints == 24
+    assert cfg.loss_weights == LossWeights()
+    assert cfg.optimizer.max_iters == 300
+    assert cfg.refinement.ridge == 1.0
