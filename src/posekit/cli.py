@@ -1,16 +1,14 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 on validation failures (missing or malformed
-inputs), 2 when the optimizer meets a non-finite objective.
+Exit codes: 0 on success, 1 on validation failures (bad arguments, missing
+or malformed inputs), 2 when the optimizer meets a non-finite objective.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from pathlib import Path
 
 from .kinematics import (
     TwistAngles,
@@ -19,22 +17,12 @@ from .kinematics import (
     keypoint_loss,
     load_keypoints,
     load_regressor,
-    load_tree,
-    bundled_tree,
     regress_keypoints,
     scalable_ik,
 )
 from .mesh import MetricReport, chamfer, load_mesh, pmd
 from .objectives import edge_loss
-from .skinning import (
-    GmmParams,
-    bone_centers,
-    default_radii,
-    gmm_weights,
-    load_weights,
-    save_weights,
-    skinning_loss,
-)
+from .skinning import load_weights, pseudo_weights, save_weights, skinning_loss
 from .transfer import (
     DivergenceError,
     TransferConfig,
@@ -48,8 +36,15 @@ EXIT_INVALID = 1
 EXIT_DIVERGED = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argument errors as ValueError, so they exit 1 like other bad input."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="posekit", description="Keypoint-driven pose transfer for meshes"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -63,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", help="kinematic tree JSON or bundled name")
     p.add_argument("--config", help="config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="override the config seed")
 
     p = sub.add_parser("eval", help="compare two meshes")
     p.add_argument("reference", help="reference mesh OBJ")
@@ -91,19 +85,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--jobs", type=int, default=1, help="pairs run at once (>= 1)")
     return parser
 
 
 def _load_tree_arg(spec: str):
-    path = Path(spec)
-    if path.is_file():
-        return load_tree(path)
-    try:
-        return bundled_tree(spec)
-    except ValueError:
-        raise FileNotFoundError(f"no such tree file: {spec}") from None
+    """A tree JSON file or a bundled name, resolved as a config's ``tree``."""
+    return TransferConfig.from_dict({"tree": spec}).tree
 
 
 def _resolve_config(args) -> TransferConfig:
@@ -115,14 +103,6 @@ def _resolve_config(args) -> TransferConfig:
         config = TransferConfig(tree=_load_tree_arg(args.tree))
     else:
         raise ValueError("either --config or --tree is required")
-    if getattr(args, "seed", None) is not None:
-        config.optimizer.seed = args.seed
-    env = os.environ.get("POSEKIT_SEED")
-    if env is not None:
-        try:
-            config.optimizer.seed = int(env)
-        except ValueError:
-            raise ValueError(f"POSEKIT_SEED must be an integer, got {env!r}") from None
     return config
 
 
@@ -205,13 +185,8 @@ def _cmd_ik_check(args) -> int:
 
 def _cmd_weights(args) -> int:
     tree = _load_tree_arg(args.tree)
-    mesh = load_mesh(args.mesh)
     kp = load_keypoints(args.kp)
-    kp.validate_for(tree)
-    params = GmmParams(
-        bone_centers(kp, tree), default_radii(kp, tree), args.temperature
-    )
-    weights = gmm_weights(mesh.vertices, params)
+    weights = pseudo_weights(load_mesh(args.mesh).vertices, kp, tree, args.temperature)
     save_weights(weights, args.out)
     payload = {"vertices": weights.n_vertices, "bones": weights.n_bones}
     if args.compare:
@@ -241,8 +216,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

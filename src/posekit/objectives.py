@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -51,13 +51,7 @@ class LossWeights:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "lambda_k": self.lambda_k,
-            "lambda_skin": self.lambda_skin,
-            "lambda_cycle": self.lambda_cycle,
-            "lambda_self": self.lambda_self,
-            "lambda_edge": self.lambda_edge,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -76,14 +70,9 @@ class LossBreakdown:
     total: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "keypoint": self.keypoint,
-            "skin": self.skin,
-            "cycle": self.cycle,
-            "self": self.self_recon,
-            "edge": self.edge,
-            "total": self.total,
-        }
+        d = asdict(self)
+        d["self"] = d.pop("self_recon")
+        return d
 
 
 def total_loss(

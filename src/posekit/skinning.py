@@ -26,10 +26,10 @@ class GmmParams:
             raise ValueError("centers must be a (K, 3) array")
         if self.radii.shape != (self.centers.shape[0],):
             raise ValueError("one radius per center required")
-        if (self.radii <= 0).any():
-            raise ValueError("radii must be positive")
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
+        if not (np.isfinite(self.radii).all() and (self.radii > 0).all()):
+            raise ValueError("radii must be finite and positive")
+        if not (np.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError("temperature must be finite and positive")
 
     @property
     def n_bones(self) -> int:
@@ -47,6 +47,8 @@ class SkinningMatrix:
         w = self.weights
         if w.ndim != 2:
             raise ValueError("weights must be an (N, K) matrix")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if (w < 0).any():
             raise ValueError("weights must be nonnegative")
         err = np.abs(w.sum(axis=1) - 1.0).max() if w.size else 0.0
@@ -109,6 +111,24 @@ def gmm_weights(vertices: np.ndarray, params: GmmParams) -> SkinningMatrix:
     e = np.exp(logits)
     w = e / e.sum(axis=1, keepdims=True)
     return SkinningMatrix(w)
+
+
+def pseudo_weights(
+    vertices: np.ndarray,
+    keypoints: KeypointSet,
+    tree: KinematicTree,
+    temperature: float,
+    radii: np.ndarray | None = None,
+) -> SkinningMatrix:
+    """Pseudo skinning weights of a canonical-pose mesh from its keypoints.
+
+    ``gmm_weights`` over the bone midpoints of ``keypoints``; ``radii``
+    defaults to half of each bone's length.
+    """
+    centers = bone_centers(keypoints, tree)
+    if radii is None:
+        radii = default_radii(keypoints, tree)
+    return gmm_weights(vertices, GmmParams(centers, radii, temperature))
 
 
 def skinning_loss(predicted: SkinningMatrix, pseudo: SkinningMatrix) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +33,11 @@ from .objectives import (
     total_loss,
 )
 from .skinning import (
-    GmmParams,
     SkinningMatrix,
-    bone_centers,
     default_radii,
-    gmm_weights,
     lbs_apply,
     lbs_blend,
+    pseudo_weights,
     save_weights,
 )
 
@@ -53,7 +51,6 @@ class OptimizerSettings:
     max_iters: int = 300
     step_size: float = 1.0
     tolerance: float = 1e-12
-    seed: int = 0
 
 
 @dataclass
@@ -70,13 +67,40 @@ class GmmSettings:
     radii: np.ndarray | None = None
     optimize_radii: bool = False
 
+    def __post_init__(self):
+        if self.radii is not None:
+            self.radii = np.asarray(self.radii, dtype=np.float64)
 
-def _settings(cls, block: str, data: dict, **extra):
-    """Build a settings dataclass from a config block, rejecting unknown keys."""
-    bad = set(data) - set(cls.__dataclass_fields__)
+
+_JSON_TYPES = {
+    "bool": ((bool,), "true or false"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a finite number"),
+    "np.ndarray | None": ((list, type(None)), "a list of numbers or null"),
+}
+
+
+def _settings(cls, block: str, data: dict):
+    """Build a settings dataclass from a config block.
+
+    Rejects unknown keys, a value of another JSON type than its field's
+    (``"false"`` for a bool, ``1.5`` for an int, a non-finite float), a
+    negative ``max_iters`` and a ``step_size`` that is not positive.
+    """
+    fields = cls.__dataclass_fields__
+    bad = set(data) - set(fields)
     if bad:
         raise ValueError(f"unknown {block} keys: {sorted(bad)}")
-    return cls(**data, **extra)
+    for key, value in data.items():
+        types, wanted = _JSON_TYPES[fields[key].type]
+        got = type(value)
+        if got not in types or (got is float and not np.isfinite(value)):
+            raise ValueError(f"{block}.{key} must be {wanted}, not {value!r}")
+    if data.get("max_iters", 0) < 0:
+        raise ValueError(f"{block}.max_iters must be nonnegative")
+    if not data.get("step_size", 1.0) > 0:
+        raise ValueError(f"{block}.step_size must be positive")
+    return cls(**data)
 
 
 @dataclass
@@ -109,19 +133,13 @@ class TransferConfig:
         cfg = cls(tree=tree)
         if "loss_weights" in data:
             cfg.loss_weights = LossWeights.from_dict(data["loss_weights"])
-        if "gmm" in data:
-            g = dict(data["gmm"])
-            radii = g.pop("radii", None)
-            cfg.gmm = _settings(
-                GmmSettings,
-                "gmm",
-                g,
-                radii=None if radii is None else np.asarray(radii, dtype=np.float64),
-            )
-        if "optimizer" in data:
-            cfg.optimizer = _settings(OptimizerSettings, "optimizer", data["optimizer"])
-        if "refinement" in data:
-            cfg.refinement = _settings(RefinementSettings, "refinement", data["refinement"])
+        for block, kind in (
+            ("gmm", GmmSettings),
+            ("optimizer", OptimizerSettings),
+            ("refinement", RefinementSettings),
+        ):
+            if block in data:
+                setattr(cfg, block, _settings(kind, block, data[block]))
         return cfg
 
     @classmethod
@@ -132,29 +150,11 @@ class TransferConfig:
         return cls.from_dict(json.loads(path.read_text()), base_dir=path.parent)
 
     def to_dict(self) -> dict:
-        return {
-            "tree": self.tree.to_dict(),
-            "loss_weights": self.loss_weights.to_dict(),
-            "gmm": {
-                "temperature": self.gmm.temperature,
-                "radii": None
-                if self.gmm.radii is None
-                else [float(r) for r in self.gmm.radii],
-                "optimize_radii": self.gmm.optimize_radii,
-            },
-            "optimizer": {
-                "max_iters": self.optimizer.max_iters,
-                "step_size": self.optimizer.step_size,
-                "tolerance": self.optimizer.tolerance,
-                "seed": self.optimizer.seed,
-            },
-            "refinement": {
-                "enabled": self.refinement.enabled,
-                "ridge": self.refinement.ridge,
-                "max_iters": self.refinement.max_iters,
-                "step_size": self.refinement.step_size,
-            },
-        }
+        d = asdict(self)
+        d["tree"] = self.tree.to_dict()
+        if self.gmm.radii is not None:
+            d["gmm"]["radii"] = [float(r) for r in self.gmm.radii]
+        return d
 
 
 @dataclass
@@ -229,6 +229,21 @@ def _minimize(f, x0, max_iters, step_size, tolerance, grad=None, on_accept=None)
     return x, values, points
 
 
+def _pose_bones(rest_kp, target_kp, twists, tree) -> BoneTransformSet:
+    """Bone transforms posing ``rest_kp`` onto ``target_kp``, rooted at its root."""
+    rel = scalable_ik(rest_kp, target_kp, twists, tree)
+    return forward_kinematics(rest_kp, rel, tree, root_position=target_kp.joints[0])
+
+
+def _rest_edges(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Edges and rest lengths of a mesh; DivergenceError if a length is not
+    finite (a NaN vertex, or squares that overflow), as no edge term can be."""
+    lengths = edge_lengths(mesh)
+    if not np.isfinite(lengths).all():
+        raise DivergenceError("rest edge lengths are not finite")
+    return mesh.edges, lengths
+
+
 def pose_transfer(
     source: Mesh,
     source_kp: KeypointSet,
@@ -246,13 +261,13 @@ def pose_transfer(
     itself unless an identity-level canonical pair is supplied), relative
     bone rotations from scalable IK, forward kinematics, linear blend
     skinning, then gradient descent over the per-bone twist angles (and the
-    Gaussian radii when ``config.gmm.optimize_radii`` is set) minimizing
-    the weighted edge term plus, when ``target_mesh`` is given (a
-    same-connectivity mesh of the source identity in the target pose), the
-    weighted self-reconstruction error against it. Twist is invisible to
-    keypoints, so without a supervising mesh the twists stay where the edge
-    term puts them. Refinement runs once on the optimized coarse mesh when
-    enabled.
+    Gaussian radii when ``config.gmm.optimize_radii`` is set, which ignores
+    any supplied ``weights``) minimizing the weighted edge term plus, when
+    ``target_mesh`` is given (a same-connectivity mesh of the source
+    identity in the target pose), the weighted self-reconstruction error
+    against it. Twist is invisible to keypoints, so without a supervising
+    mesh the twists stay where the edge term puts them. Refinement runs
+    once on the optimized coarse mesh when enabled.
 
     Returns a TransferResult; ``losses`` is the accepted-step history of
     the optimizer, which is non-increasing in ``total``.
@@ -268,39 +283,28 @@ def pose_transfer(
     if c_mesh.n_vertices != source.n_vertices:
         raise ValueError("canonical mesh must share the source vertex count")
 
-    centers = bone_centers(c_kp, tree)
-    base_radii = (
-        default_radii(c_kp, tree) if config.gmm.radii is None else config.gmm.radii
-    )
-    if np.shape(base_radii) != (tree.n_bones,):
-        raise ValueError("need one radius per bone")
-    temperature = config.gmm.temperature
-    optimize_radii = bool(config.gmm.optimize_radii)
-    if weights is None and not optimize_radii:
-        weights = gmm_weights(
-            c_mesh.vertices, GmmParams(centers, base_radii, temperature)
+    edges, rest_lengths = _rest_edges(source)
+    gmm = config.gmm
+    if weights is None or gmm.optimize_radii:
+        # under optimize_radii this validates the starting radii
+        weights = pseudo_weights(
+            c_mesh.vertices, c_kp, tree, gmm.temperature, gmm.radii
         )
 
     n_bones = tree.n_bones
     lw = config.loss_weights
-    edges = source.edges
-    rest_lengths = edge_lengths(source)
 
     def build(params):
-        """Weights, bone transforms and twists; None if the radii underflow."""
+        """Weights, bone transforms and twists; None if the radii under- or overflow."""
         phi = TwistAngles.wrap(params[:n_bones])
-        if optimize_radii:
+        if gmm.optimize_radii:
             radii = np.exp(params[n_bones:])
-            if not (radii > 0).all():
+            if not ((radii > 0) & (radii < np.inf)).all():
                 return None
-            w = gmm_weights(c_mesh.vertices, GmmParams(centers, radii, temperature))
+            w = pseudo_weights(c_mesh.vertices, c_kp, tree, gmm.temperature, radii)
         else:
             w = weights
-        rel = scalable_ik(source_kp, target_kp, phi, tree)
-        tf = forward_kinematics(
-            source_kp, rel, tree, root_position=target_kp.joints[0]
-        )
-        return w, tf, phi
+        return w, _pose_bones(source_kp, target_kp, phi, tree), phi
 
     history = []
     latest = None  # breakdown of the last evaluation past the rejection checks
@@ -320,8 +324,9 @@ def pose_transfer(
         return latest.total
 
     x0 = np.zeros(n_bones, dtype=np.float64)
-    if optimize_radii:
-        x0 = np.concatenate([x0, np.log(base_radii)])
+    if gmm.optimize_radii:
+        start = default_radii(c_kp, tree) if gmm.radii is None else gmm.radii
+        x0 = np.concatenate([x0, np.log(start)])
     x, _, _ = _minimize(
         objective,
         x0,
@@ -433,44 +438,23 @@ def cycle_reconstruct(
     lw = config.loss_weights
     n_bones = tree.n_bones
 
-    w1 = gmm_weights(
-        source.vertices,
-        GmmParams(
-            bone_centers(source_kp, tree),
-            default_radii(source_kp, tree) if config.gmm.radii is None else config.gmm.radii,
-            config.gmm.temperature,
-        ),
-    )
-    w2 = gmm_weights(
-        third.vertices,
-        GmmParams(
-            bone_centers(third_kp, tree),
-            default_radii(third_kp, tree) if config.gmm.radii is None else config.gmm.radii,
-            config.gmm.temperature,
-        ),
-    )
+    source_edges, source_rest = _rest_edges(source)
+    third_edges, third_rest = _rest_edges(third)
+    gmm = config.gmm
+    w1 = pseudo_weights(source.vertices, source_kp, tree, gmm.temperature, gmm.radii)
+    w2 = pseudo_weights(third.vertices, third_kp, tree, gmm.temperature, gmm.radii)
 
     def build(params):
         tw1 = TwistAngles.wrap(params[:n_bones])
         tw2 = TwistAngles.wrap(params[n_bones:])
-        rel1 = scalable_ik(source_kp, target_kp, tw1, tree)
-        tf1 = forward_kinematics(
-            source_kp, rel1, tree, root_position=target_kp.joints[0]
-        )
+        tf1 = _pose_bones(source_kp, target_kp, tw1, tree)
         inter = lbs_blend(source.vertices, w1, tf1)
         if intermediate_regressor is not None:
             inter_kp = regress_keypoints(inter, intermediate_regressor)
         else:
             inter_kp = KeypointSet(tf1.posed_joints)
-        rel2 = scalable_ik(third_kp, inter_kp, tw2, tree)
-        tf2 = forward_kinematics(
-            third_kp, rel2, tree, root_position=inter_kp.joints[0]
-        )
-        out = lbs_blend(third.vertices, w2, tf2)
+        out = lbs_blend(third.vertices, w2, _pose_bones(third_kp, inter_kp, tw2, tree))
         return inter, out
-
-    source_edges, source_rest = source.edges, edge_lengths(source)
-    third_edges, third_rest = third.edges, edge_lengths(third)
 
     def objective(params):
         inter, out = build(params)
@@ -725,51 +709,41 @@ def run_manifest(manifest_path, config: TransferConfig, out_dir, jobs: int = 1) 
     are independent; ``jobs`` > 1 fans them out over a thread pool without
     changing any output.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, not {jobs}")
     manifest = load_manifest(manifest_path)
     tree = config.tree
-    mesh_cache: dict = {}
-    kp_cache: dict = {}
+    poses: dict = {}
 
     def fetch(ident, pose):
-        key = (ident, pose)
-        if key not in mesh_cache:
+        if (ident, pose) not in poses:
             files = manifest["identities"][ident]["poses"][pose]
-            mesh_cache[key] = load_mesh(files["mesh"])
-            kp_cache[key] = load_keypoints(files["keypoints"])
-        return mesh_cache[key], kp_cache[key]
+            mesh, kp = load_mesh(files["mesh"]), load_keypoints(files["keypoints"])
+            poses[ident, pose] = mesh, kp
+        return poses[ident, pose]
 
-    weight_bank: dict = {}
+    canonicals: dict = {}
 
-    def identity_weights(ident):
-        if ident not in weight_bank:
-            canonical = manifest["identities"][ident]["canonical"]
-            c_mesh, c_kp = fetch(ident, canonical)
-            c_kp.validate_for(tree)
-            radii = (
-                default_radii(c_kp, tree)
-                if config.gmm.radii is None
-                else config.gmm.radii
+    def canonical(ident):
+        """Canonical mesh, keypoints and pseudo weights of an identity."""
+        if ident not in canonicals:
+            c_mesh, c_kp = fetch(ident, manifest["identities"][ident]["canonical"])
+            weights = pseudo_weights(
+                c_mesh.vertices, c_kp, tree, config.gmm.temperature, config.gmm.radii
             )
-            weight_bank[ident] = gmm_weights(
-                c_mesh.vertices,
-                GmmParams(bone_centers(c_kp, tree), radii, config.gmm.temperature),
-            )
-        return weight_bank[ident]
+            canonicals[ident] = c_mesh, c_kp, weights
+        return canonicals[ident]
 
     # Hydrate caches serially; the parallel section then only computes.
     for pair in manifest["pairs"]:
         fetch(*pair["source"])
         fetch(*pair["target"])
-        if not config.gmm.optimize_radii:
-            identity_weights(pair["source"][0])
+        canonical(pair["source"][0])
 
     def run_pair(pair):
         s_mesh, s_kp = fetch(*pair["source"])
         _, t_kp = fetch(*pair["target"])
-        ident = pair["source"][0]
-        canonical = manifest["identities"][ident]["canonical"]
-        c_mesh, c_kp = fetch(ident, canonical)
-        weights = None if config.gmm.optimize_radii else identity_weights(ident)
+        c_mesh, c_kp, weights = canonical(pair["source"][0])
         result = pose_transfer(
             s_mesh,
             s_kp,

@@ -165,6 +165,74 @@ def test_transfer_config_typo_exits_1(puppet_files, capsys):
     assert err.startswith("error: unknown optimizer keys: ['max_iter']")
 
 
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ({"optimizer": {"seed": 0}}, "unknown optimizer keys: ['seed']"),
+        ({"refinement": {"enabled": "false"}}, "refinement.enabled must be true or false"),
+        ({"gmm": {"optimize_radii": "no"}}, "gmm.optimize_radii must be true or false"),
+        ({"optimizer": {"step_size": 0}}, "optimizer.step_size must be positive"),
+        ({"gmm": {"radii": [0.5, float("nan")]}}, "radii must be finite and positive"),
+        (
+            {"gmm": {"radii": [0.5, -0.5], "optimize_radii": True}},
+            "radii must be finite and positive",
+        ),
+    ],
+)
+def test_transfer_bad_config_value_exits_1(puppet_files, capsys, block, message):
+    d, _ = puppet_files
+    (d / "config.json").write_text(json.dumps({"tree": "tree.json", **block}))
+    code = main([
+        "transfer",
+        "--source", str(d / "rest.obj"),
+        "--source-kp", str(d / "rest_kp.json"),
+        "--target-kp", str(d / "posed_kp.json"),
+        "--config", str(d / "config.json"),
+        "--out", str(d / "out"),
+    ])
+    assert code == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and message in line
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["transfer", "--source", "s.obj", "--source-kp", "s.json"], "required: --out"),
+        (["transfer", "--source", "s.obj", "--source-kp", "s.json", "--out", "o",
+          "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["batch", "--manifest", "m.json", "--config", "c.json", "--out", "o",
+          "--seed", "0"], "unrecognized arguments: --seed 0"),
+        (["batch", "--manifest", "m.json", "--config", "c.json", "--out", "o",
+          "--jobs", "two"], "argument --jobs: invalid int value: 'two'"),
+        (["weights", "--mesh", "m.obj"], "required: --kp, --tree, --out"),
+        (["no-such-command"], "invalid choice: 'no-such-command'"),
+        ([], "required: command"),
+    ],
+)
+def test_argument_errors_exit_1(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
+
+
+def test_batch_jobs_below_one_exits_1(tmp_path, capsys):
+    path, a = manifest_fixture(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"tree": a.tree.to_dict()}))
+    code = main([
+        "batch",
+        "--manifest", str(path),
+        "--config", str(tmp_path / "cfg.json"),
+        "--out", str(tmp_path / "runs"),
+        "--jobs", "0",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: jobs must be a positive integer, not 0\n"
+    assert not (tmp_path / "runs").exists()
+
+
 def test_eval_same_connectivity(puppet_files, capsys):
     d, _ = puppet_files
     code, payload = run_cli(
@@ -275,32 +343,6 @@ def test_batch_command(tmp_path, capsys):
     assert set(payload) == {"a_to_b", "a_self"}
     for name in payload:
         assert (tmp_path / "runs" / name / "refined.obj").is_file()
-
-
-def test_seed_env_override(puppet_files, capsys, monkeypatch):
-    d, _ = puppet_files
-    monkeypatch.setenv("POSEKIT_SEED", "definitely-not-int")
-    code, _ = run_cli(
-        capsys,
-        "transfer",
-        "--source", str(d / "rest.obj"),
-        "--source-kp", str(d / "rest_kp.json"),
-        "--target-kp", str(d / "posed_kp.json"),
-        "--tree", str(d / "tree.json"),
-        "--out", str(d / "out"),
-    )
-    assert code == 1
-    monkeypatch.setenv("POSEKIT_SEED", "7")
-    code, _ = run_cli(
-        capsys,
-        "transfer",
-        "--source", str(d / "rest.obj"),
-        "--source-kp", str(d / "rest_kp.json"),
-        "--target-kp", str(d / "posed_kp.json"),
-        "--tree", str(d / "tree.json"),
-        "--out", str(d / "out"),
-    )
-    assert code == 0
 
 
 def test_console_script_runs(puppet_files):

@@ -13,6 +13,8 @@ from posekit import (
     gmm_weights,
     lbs_apply,
     load_weights,
+    make_puppet,
+    pseudo_weights,
     save_weights,
     skinning_loss,
 )
@@ -33,6 +35,12 @@ def test_gmm_params_validation():
         GmmParams(np.zeros((2, 3)), np.ones(3))
     with pytest.raises(ValueError):
         GmmParams(np.zeros((2, 3)), np.ones(2), temperature=0.0)
+    for radii in ([0.5, np.nan], [0.5, np.inf], [0.5, -1.0]):
+        with pytest.raises(ValueError, match="radii must be finite and positive"):
+            GmmParams(np.zeros((2, 3)), np.array(radii))
+    for temperature in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            GmmParams(np.zeros((2, 3)), np.ones(2), temperature=temperature)
 
 
 def test_skinning_matrix_validation():
@@ -41,6 +49,23 @@ def test_skinning_matrix_validation():
         SkinningMatrix(np.array([[1.2, -0.2]]))
     with pytest.raises(ValueError):
         SkinningMatrix(np.array([[0.5, 0.6]]))
+    # a NaN row has a NaN sum, which no tolerance comparison rejects
+    for row in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            SkinningMatrix(np.array([[1.0, 0.0], row]))
+
+
+def test_pseudo_weights_equal_the_explicit_gmm_build():
+    p = make_puppet(3, 0.4, 0.2, seed=0)
+    v, kp, tree = p.rest_mesh.vertices, p.rest_keypoints, p.tree
+    centers = bone_centers(kp, tree)
+    explicit = gmm_weights(v, GmmParams(centers, default_radii(kp, tree), 2.5))
+    assert np.array_equal(pseudo_weights(v, kp, tree, 2.5).weights, explicit.weights)
+    radii = np.array([0.3, 0.7, 0.5])
+    explicit = gmm_weights(v, GmmParams(centers, radii, 1.5))
+    assert np.array_equal(
+        pseudo_weights(v, kp, tree, 1.5, radii).weights, explicit.weights
+    )
 
 
 def test_weights_round_trip(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from posekit import (
     DivergenceError,
     GmmParams,
+    JointRegressor,
     KeypointSet,
     SkinningMatrix,
     TransferConfig,
@@ -15,11 +16,13 @@ from posekit import (
     default_radii,
     edge_loss,
     gmm_weights,
+    keypoint_loss,
     load_mesh,
     make_puppet,
     pmd,
     pose_transfer,
     refine,
+    regress_keypoints,
     run_manifest,
     save_keypoints,
     save_mesh,
@@ -266,6 +269,25 @@ def test_transfer_optimize_radii_path():
     res = pose_transfer(p.rest_mesh, p.rest_keypoints, p.posed_keypoints, cfg)
     w = res.weights.weights
     assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-9
+    # supplied weights are ignored, which lets run_manifest always pass them
+    given = pose_transfer(
+        p.rest_mesh, p.rest_keypoints, p.posed_keypoints, cfg, weights=p.weights
+    )
+    assert np.array_equal(given.weights.weights, w)
+    assert np.array_equal(given.refined.vertices, res.refined.vertices)
+
+
+@pytest.mark.parametrize(
+    "radii, optimize_radii",
+    [([0.5, np.nan], False), ([0.5, np.nan], True), ([0.5, -0.5], True)],
+)
+def test_bad_gmm_radii_are_bad_input_not_divergence(radii, optimize_radii):
+    p = make_puppet(2, 0.1, 0.0, seed=0)
+    cfg = puppet_config(p)
+    cfg.gmm.radii = np.array(radii)
+    cfg.gmm.optimize_radii = optimize_radii
+    with pytest.raises(ValueError, match="radii must be finite and positive"):
+        pose_transfer(p.rest_mesh, p.rest_keypoints, p.posed_keypoints, cfg)
 
 
 def test_transfer_bad_radii_count():
@@ -343,6 +365,34 @@ def test_cycle_reconstruct_small_error():
     assert err <= 5e-3
 
 
+def test_cycle_reconstruct_through_a_ring_regressor():
+    bend, twist = np.pi / 3, np.pi / 4
+    pa = make_puppet(2, bend, twist, seed=0, radius=0.25)
+    pb_t = make_puppet(2, bend, twist, seed=7, radius=0.3)
+    pb_3 = make_puppet(2, np.pi / 6, 0.0, seed=7, radius=0.3)
+    # joint j reads the mean of the vertex ring at height j
+    sides, rings_per_segment = 16, 8
+    matrix = np.zeros((3, pa.rest_mesh.n_vertices))
+    for j in range(3):
+        start = j * rings_per_segment * sides
+        matrix[j, start : start + sides] = 1.0 / sides
+    regressor = JointRegressor(matrix)
+    assert keypoint_loss(
+        regress_keypoints(pa.rest_mesh, regressor), pa.rest_keypoints
+    ) <= 0.01
+    err = cycle_reconstruct(
+        pa.rest_mesh,
+        pa.rest_keypoints,
+        pb_t.posed_mesh,
+        pb_t.posed_keypoints,
+        pb_3.posed_mesh,
+        pb_3.posed_keypoints,
+        puppet_config(pa),
+        intermediate_regressor=regressor,
+    )
+    assert err <= 5e-3
+
+
 def test_cycle_reconstruct_connectivity_guard():
     pa = make_puppet(2, 0.1, 0.0, seed=0)
     pb = make_puppet(3, 0.1, 0.0, seed=1)
@@ -396,10 +446,10 @@ def test_config_from_dict_bundled_tree():
 
 def test_config_from_dict_inline_tree():
     cfg = TransferConfig.from_dict(
-        {"tree": {"parents": [-1, 0], "names": ["a", "b"]}, "optimizer": {"seed": 5}}
+        {"tree": {"parents": [-1, 0], "names": ["a", "b"]}, "optimizer": {"max_iters": 5}}
     )
     assert cfg.tree.n_joints == 2
-    assert cfg.optimizer.seed == 5
+    assert cfg.optimizer.max_iters == 5
 
 
 def test_config_missing_tree():
@@ -704,6 +754,42 @@ def test_config_rejects_unknown_block_keys():
     for block in ("optimizer", "refinement", "gmm"):
         with pytest.raises(ValueError, match=rf"unknown {block} keys: \['max_iter'\]"):
             TransferConfig.from_dict({"tree": "smpl_24", block: {"max_iter": 3}})
+
+
+@pytest.mark.parametrize(
+    "block, value, message",
+    [
+        ({"refinement": {"enabled": "false"}}, "refinement.enabled", "true or false"),
+        ({"gmm": {"optimize_radii": "no"}}, "gmm.optimize_radii", "true or false"),
+        ({"gmm": {"optimize_radii": 1}}, "gmm.optimize_radii", "true or false"),
+        ({"optimizer": {"max_iters": 1.5}}, "optimizer.max_iters", "an integer"),
+        ({"refinement": {"max_iters": True}}, "refinement.max_iters", "an integer"),
+        ({"optimizer": {"step_size": "1"}}, "optimizer.step_size", "a finite number"),
+        ({"optimizer": {"tolerance": float("nan")}}, "optimizer.tolerance", "a finite"),
+        ({"gmm": {"temperature": None}}, "gmm.temperature", "a finite number"),
+        ({"gmm": {"radii": 0.5}}, "gmm.radii", "a list of numbers or null"),
+        ({"optimizer": {"max_iters": -1}}, "optimizer.max_iters", "nonnegative"),
+        ({"optimizer": {"step_size": 0}}, "optimizer.step_size", "positive"),
+        ({"refinement": {"step_size": -1.0}}, "refinement.step_size", "positive"),
+    ],
+)
+def test_config_rejects_mistyped_and_out_of_range_values(block, value, message):
+    with pytest.raises(ValueError, match=rf"{value} must be .*{message}"):
+        TransferConfig.from_dict({"tree": "smpl_24", **block})
+
+
+def test_config_accepts_ints_for_floats():
+    cfg = TransferConfig.from_dict(
+        {
+            "tree": "smpl_24",
+            "gmm": {"temperature": 3, "optimize_radii": True},
+            "optimizer": {"max_iters": 0, "step_size": 2},
+            "refinement": {"enabled": False},
+        }
+    )
+    assert cfg.gmm.temperature == 3 and cfg.gmm.optimize_radii is True
+    assert cfg.optimizer.max_iters == 0 and cfg.refinement.enabled is False
+    assert set(cfg.to_dict()["optimizer"]) == {"max_iters", "step_size", "tolerance"}
 
 
 def test_readme_config_example_parses():
