@@ -37,7 +37,9 @@ class LossWeights:
     def from_dict(cls, data: dict) -> "LossWeights":
         """Read field names (``lambda_k``, ...) or loss names (``keypoint``, ...).
 
-        The loss names are the keys of ``LossBreakdown.to_dict``.
+        The loss names are the keys of ``LossBreakdown.to_dict``. Each value
+        must be a finite, nonnegative number (not a bool): the solver weighs
+        each term's residuals by the square root of its weight.
         """
         bad = set(data) - set(cls.__dataclass_fields__) - set(_FIELD_OF_LOSS)
         if bad:
@@ -47,6 +49,11 @@ class LossWeights:
             name = _FIELD_OF_LOSS.get(key, key)
             if name in kwargs:
                 raise ValueError(f"loss weight {name} given twice")
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and np.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"loss_weights.{key} must be a finite nonnegative number, not {value!r}"
+                )
             kwargs[name] = value
         return cls(**kwargs)
 
@@ -172,7 +179,8 @@ def numerical_gradient(
     """Central-difference gradient with per-component relative stepping.
 
     Component j is probed at x_j +/- h_j with h_j = step * (1 + |x_j|).
-    Every probe must produce a finite value.
+    Every probe must produce a finite value. No solver calls it; it is the
+    reference that analytic derivatives are tested against.
     """
     x = np.asarray(x, dtype=np.float64)
     grad = np.empty_like(x)

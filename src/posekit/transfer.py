@@ -29,7 +29,6 @@ from .objectives import (
     edge_discrepancy,
     edge_discrepancy_gradient,
     edge_term,
-    numerical_gradient,
     total_loss,
 )
 from .skinning import (
@@ -115,6 +114,11 @@ class TransferConfig:
 
     @classmethod
     def from_dict(cls, data: dict, base_dir=None) -> "TransferConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, not a {type(data).__name__}")
+        for block in ("loss_weights", "gmm", "optimizer", "refinement"):
+            if not isinstance(data.get(block, {}), dict):
+                raise ValueError(f"{block} must be a JSON object, not {data[block]!r}")
         base = Path(base_dir) if base_dir is not None else Path(".")
         tree_spec = data.get("tree")
         if tree_spec is None:
@@ -165,44 +169,113 @@ class TransferResult:
     twists: TwistAngles
     weights: SkinningMatrix
     losses: list[LossBreakdown]
+    stop_reason: str  # see _minimize
 
 
-def _minimize(f, x0, max_iters, step_size, tolerance, grad=None, on_accept=None):
-    """Gradient descent with Armijo backtracking.
+def _minimize(f, x0, max_iters, step_size, tolerance, on_accept=None):
+    """Levenberg-Marquardt on a sum of squares.
 
-    Returns the final point, the accepted objective values and the accepted
-    iterates (starting point included). The value sequence never increases:
-    a step is only taken when it strictly decreases the objective. The
-    trial step doubles after an accepted step and halves on rejection, so
-    no problem-specific step tuning is needed.
+    ``f(x)`` returns None to reject ``x``, else ``(value, r, jacobian)``: the
+    objective value, equal to ``r @ r`` up to rounding, the residual vector,
+    and a callable that returns the Jacobian dr/dx at ``x``. Each step solves
+    ``(2 J'J + mu I) d = -2 J'r``. The damping mu starts at ``1 / step_size``,
+    so where the Gauss-Newton curvature is negligible against mu the first
+    step is the gradient step of length ``step_size``. A trial is accepted
+    only when its value is finite and strictly below the current one, so the
+    accepted values decrease; mu then follows the gain-ratio rule of Madsen,
+    Nielsen & Tingleff (2004), and it grows on every rejected trial.
 
-    ``f`` returns ``inf`` (or any non-finite value) to reject a point; a
-    line-search trial is then halved, while a finite-difference probe or a
-    start point raises DivergenceError. Exceptions raised by ``f`` or
-    ``grad`` propagate unchanged.
+    Returns ``(x, values, points, stop_reason)``: the final point, the
+    accepted values and iterates (starting point included), and why the
+    solve ended:
 
+    - ``zero_gradient``: the gradient 2 J'r is exactly zero;
+    - ``converged``: a step damped by at least ``1 / step_size`` is
+      predicted to lower the value by at most ``tolerance * max(1, value)``.
+      Damping the test keeps a near-flat valley, along which undamped steps
+      each gain a little, from running the solve to ``max_iters``;
+    - ``no_decrease``: trials were rejected until the predicted decrease of
+      the damped step fell to that bound;
+    - ``max_iters``: ``max_iters`` steps were accepted.
+
+    A rejected starting point or a non-finite Jacobian raises
+    DivergenceError; exceptions raised by ``f`` propagate unchanged.
     ``on_accept()``, when given, is called right after the evaluation of
     ``f`` at each accepted point (the start included), before any other
     evaluation, so a caller can keep what that evaluation computed.
     """
 
-    def probe(p):
-        v = float(f(p))
-        if not np.isfinite(v):
-            raise DivergenceError("non-finite objective at a probe point")
-        return v
+    def evaluate(p):
+        out = f(p)
+        return None if out is None or not np.isfinite(out[0]) else out
 
     x = np.asarray(x0, dtype=np.float64).copy()
-    fx = float(f(x))
-    if not np.isfinite(fx):
+    current = evaluate(x)
+    if current is None:
         raise DivergenceError("objective is not finite at the starting point")
     if on_accept is not None:
         on_accept()
-    values = [fx]
+    values = [float(current[0])]
     points = [x.copy()]
+    mu0 = 1.0 / float(step_size)
+    mu, nu = mu0, 2.0
+    eye = np.eye(x.shape[0])
+    stop_reason = "max_iters"
+    for _ in range(int(max_iters)):
+        fx, r, jacobian = current
+        jac = jacobian()
+        if not np.isfinite(jac).all():
+            raise DivergenceError("non-finite Jacobian")
+        g = 2.0 * (jac.T @ r)
+        if not g.any():
+            stop_reason = "zero_gradient"
+            break
+        hessian = 2.0 * (jac.T @ jac)
+
+        def model_step(damping):
+            d = np.linalg.solve(hessian + damping * eye, -g)
+            return d, 0.5 * float(d @ (damping * d - g))
+
+        small = tolerance * max(1.0, fx)
+        if not model_step(max(mu, mu0))[1] > small:
+            stop_reason = "converged"
+            break
+        while True:
+            d, predicted = model_step(mu)
+            if not predicted > small:
+                break
+            trial = evaluate(x + d)
+            if trial is not None and trial[0] < fx:
+                break
+            mu *= nu
+            nu *= 2.0
+        if not predicted > small:
+            stop_reason = "no_decrease"
+            break
+        if on_accept is not None:
+            on_accept()
+        gain = (fx - float(trial[0])) / predicted
+        mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+        nu = 2.0
+        x = x + d
+        current = trial
+        values.append(float(trial[0]))
+        points.append(x.copy())
+    return x, values, points, stop_reason
+
+
+def _descend(f, grad, x0, max_iters, step_size, tolerance):
+    """Gradient descent with Armijo backtracking; returns the final point.
+
+    A step is only taken when it strictly decreases ``f``. The trial step
+    doubles after an accepted step and halves on rejection, so no
+    problem-specific step tuning is needed.
+    """
+    x = np.asarray(x0, dtype=np.float64).copy()
+    fx = float(f(x))
     trial = float(step_size)
     for _ in range(int(max_iters)):
-        g = grad(x) if grad is not None else numerical_gradient(probe, x)
+        g = grad(x)
         g2 = float(np.dot(g, g))
         if g2 == 0.0:
             break
@@ -217,16 +290,54 @@ def _minimize(f, x0, max_iters, step_size, tolerance, grad=None, on_accept=None)
             t *= 0.5
         if not accepted:
             break
-        if on_accept is not None:
-            on_accept()
         drop = fx - fn
         x, fx = xn, fn
-        values.append(fx)
-        points.append(x.copy())
         trial = min(t * 2.0, float(step_size) * 1024.0)
         if drop <= tolerance * max(1.0, abs(fx)):
             break
-    return x, values, points
+    return x
+
+
+def _probe(fn, x, j):
+    """``fn`` at ``x`` moved by -h and +h along coordinate j, and 2h.
+
+    h = 1e-5 * (1 + |x_j|), the step ``numerical_gradient`` takes.
+    """
+    h = 1e-5 * (1.0 + abs(float(x[j])))
+    step = np.zeros_like(x)
+    step[j] = h
+    return fn(x - step), fn(x + step), 2.0 * h
+
+
+def _tangents(pose, x) -> list:
+    """Central differences of ``pose(x)``, a tuple of BoneTransformSets, per
+    coordinate of ``x``.
+
+    LBS is linear in the bone transforms, so ``lbs_blend`` of a tangent set
+    is the derivative of the blended vertices along that coordinate.
+    """
+    names = ("relative", "rotations", "translations", "posed_joints")
+    out = []
+    for j in range(x.shape[0]):
+        minus, plus, width = _probe(pose, x, j)
+        slopes = []
+        for a, b in zip(minus, plus):
+            fields = ((getattr(b, n) - getattr(a, n)) / width for n in names)
+            slopes.append(BoneTransformSet(*fields))
+        out.append(tuple(slopes))
+    return out
+
+
+def _edge_directions(posed, edges, lengths):
+    """Unit vectors along the edges of ``posed``."""
+    return (posed[edges[:, 0]] - posed[edges[:, 1]]) / lengths[:, None]
+
+
+def _length_rates(directions, edges, d_posed):
+    """Rates of the edge lengths along the vertex motion ``d_posed``."""
+    return np.einsum(
+        "ij,ij->i", directions, d_posed[edges[:, 0]] - d_posed[edges[:, 1]]
+    )
 
 
 def _pose_bones(rest_kp, target_kp, twists, tree) -> BoneTransformSet:
@@ -260,17 +371,26 @@ def pose_transfer(
     Pipeline: pseudo skinning weights from the canonical pose (the source
     itself unless an identity-level canonical pair is supplied), relative
     bone rotations from scalable IK, forward kinematics, linear blend
-    skinning, then gradient descent over the per-bone twist angles (and the
-    Gaussian radii when ``config.gmm.optimize_radii`` is set, which ignores
-    any supplied ``weights``) minimizing the weighted edge term plus, when
+    skinning, then a Levenberg-Marquardt solve (``_minimize``) over the
+    per-bone twist angles (and the log Gaussian radii when
+    ``config.gmm.optimize_radii`` is set, which ignores any supplied
+    ``weights``). The objective is the weighted edge term plus, when
     ``target_mesh`` is given (a same-connectivity mesh of the source
     identity in the target pose), the weighted self-reconstruction error
-    against it. Twist is invisible to keypoints, so without a supervising
-    mesh the twists stay where the edge term puts them. Refinement runs
-    once on the optimized coarse mesh when enabled.
+    against it, both as sums of squared residuals. Twist is invisible to
+    keypoints, so without a supervising mesh the twists stay where the edge
+    term puts them. Refinement runs once on the optimized coarse mesh when
+    enabled.
+
+    The Jacobian's kinematic part, the bone transforms' derivatives in the
+    twists, comes from central differences of the IK/FK chain alone, whose
+    cost does not depend on the vertex count; its vertex part is exact, as
+    LBS is linear in the transforms. Radii columns are central differences
+    of the residuals.
 
     Returns a TransferResult; ``losses`` is the accepted-step history of
-    the optimizer, which is non-increasing in ``total``.
+    the optimizer, which is decreasing in ``total``, and ``stop_reason``
+    says why the solve ended.
     """
     tree = config.tree
     source_kp.validate_for(tree)
@@ -293,41 +413,73 @@ def pose_transfer(
 
     n_bones = tree.n_bones
     lw = config.loss_weights
+    vertices = source.vertices
+    # r @ r is the weighted total: lambda * mean of squares over each term
+    self_scale = np.sqrt(lw.lambda_self / vertices.shape[0])
+    edge_scale = np.sqrt(lw.lambda_edge / max(edges.shape[0], 1))
 
-    def build(params):
-        """Weights, bone transforms and twists; None if the radii under- or overflow."""
-        phi = TwistAngles.wrap(params[:n_bones])
-        if gmm.optimize_radii:
-            radii = np.exp(params[n_bones:])
-            if not ((radii > 0) & (radii < np.inf)).all():
-                return None
-            w = pseudo_weights(c_mesh.vertices, c_kp, tree, gmm.temperature, radii)
-        else:
-            w = weights
-        return w, _pose_bones(source_kp, target_kp, phi, tree), phi
+    def pose(twists):
+        return (_pose_bones(source_kp, target_kp, TwistAngles.wrap(twists), tree),)
+
+    def skinning(params):
+        """Skinning weights; None if the radii under- or overflow."""
+        if not gmm.optimize_radii:
+            return weights
+        radii = np.exp(params[n_bones:])
+        if not ((radii > 0) & (radii < np.inf)).all():
+            return None
+        return pseudo_weights(c_mesh.vertices, c_kp, tree, gmm.temperature, radii)
+
+    def residuals(params):
+        """Loss breakdown, residuals and what the Jacobian reuses; None to reject."""
+        w = skinning(params)
+        if w is None:
+            return None
+        (tf,) = pose(params[:n_bones])
+        posed = lbs_blend(vertices, w, tf)
+        e, lengths = edge_term(posed, edges, rest_lengths)
+        if (lengths == 0.0).any():
+            return None
+        r = edge_scale * (lengths - rest_lengths)
+        sr = 0.0
+        if target_mesh is not None:
+            sr = pmd(posed, target_mesh.vertices)
+            r = np.concatenate([self_scale * (posed - target_mesh.vertices).ravel(), r])
+        return total_loss(lw, self_recon=sr, edge=e), r, w, posed, lengths
 
     history = []
     latest = None  # breakdown of the last evaluation past the rejection checks
 
     def objective(params):
         nonlocal latest
-        built = build(params)
-        if built is None:
-            return np.inf
-        w, tf, _ = built
-        posed = lbs_blend(source.vertices, w, tf)
-        e, lengths = edge_term(posed, edges, rest_lengths)
-        if (lengths == 0.0).any():
-            return np.inf
-        sr = pmd(posed, target_mesh.vertices) if target_mesh is not None else 0.0
-        latest = total_loss(lw, self_recon=sr, edge=e)
-        return latest.total
+        out = residuals(params)
+        if out is None:
+            return None
+        latest, r, w, posed, lengths = out
+
+        def jacobian():
+            jac = np.empty((r.shape[0], params.shape[0]))
+            directions = _edge_directions(posed, edges, lengths)
+            for m, (tangent,) in enumerate(_tangents(pose, params[:n_bones])):
+                d_posed = lbs_blend(vertices, w, tangent)
+                column = edge_scale * _length_rates(directions, edges, d_posed)
+                if target_mesh is not None:
+                    column = np.concatenate([self_scale * d_posed.ravel(), column])
+                jac[:, m] = column
+            for m in range(n_bones, params.shape[0]):
+                lo, hi, width = _probe(residuals, params, m)
+                if lo is None or hi is None:
+                    raise DivergenceError("objective is not finite at a probe point")
+                jac[:, m] = (hi[1] - lo[1]) / width
+            return jac
+
+        return latest.total, r, jacobian
 
     x0 = np.zeros(n_bones, dtype=np.float64)
     if gmm.optimize_radii:
         start = default_radii(c_kp, tree) if gmm.radii is None else gmm.radii
         x0 = np.concatenate([x0, np.log(start)])
-    x, _, _ = _minimize(
+    x, _, _, stop_reason = _minimize(
         objective,
         x0,
         config.optimizer.max_iters,
@@ -335,16 +487,18 @@ def pose_transfer(
         config.optimizer.tolerance,
         on_accept=lambda: history.append(latest),
     )
-    w, tf, phi = build(x)
+    w = skinning(x)
+    (tf,) = pose(x[:n_bones])
     coarse = lbs_apply(source, w, tf)
     refined = refine(coarse, source, config) if config.refinement.enabled else coarse
     return TransferResult(
         coarse=coarse,
         refined=refined,
         rotations=tf,
-        twists=phi,
+        twists=TwistAngles.wrap(x[:n_bones]),
         weights=w,
         losses=history,
+        stop_reason=stop_reason,
     )
 
 
@@ -375,13 +529,13 @@ def refine(coarse: Mesh, source: Mesh, config: TransferConfig) -> Mesh:
         d = cv + dv.reshape(n, 3)
         return edge_discrepancy_gradient(sv, d, edges).ravel() + 2.0 * ridge * dv
 
-    x, _, _ = _minimize(
+    x = _descend(
         f,
+        g,
         np.zeros(3 * n, dtype=np.float64),
         config.refinement.max_iters,
         config.refinement.step_size,
         config.optimizer.tolerance,
-        grad=g,
     )
     return coarse.with_vertices(cv + x.reshape(n, 3))
 
@@ -424,10 +578,14 @@ def cycle_reconstruct(
     third mesh (identity B, same identity as the target but a different
     pose) is posed onto the intermediate result, and the second output is
     compared to the target (identity B in the target pose). Twists of both
-    hops are optimized jointly under the weighted cycle and edge terms.
+    hops are solved jointly by Levenberg-Marquardt (``_minimize``) under the
+    weighted cycle and edge terms, as sums of squared residuals.
 
     Intermediate keypoints are the first hop's posed joints; passing a
-    regressor re-reads them from the intermediate surface instead.
+    regressor re-reads them from the intermediate surface instead. The
+    Jacobian differences the two-hop map from twists to both hops' bone
+    transforms (which includes the first hop's blend when a regressor reads
+    the intermediate keypoints) and is exact in the vertices.
     """
     tree = config.tree
     source_kp.validate_for(tree)
@@ -443,36 +601,65 @@ def cycle_reconstruct(
     gmm = config.gmm
     w1 = pseudo_weights(source.vertices, source_kp, tree, gmm.temperature, gmm.radii)
     w2 = pseudo_weights(third.vertices, third_kp, tree, gmm.temperature, gmm.radii)
+    cycle_scale = np.sqrt(lw.lambda_cycle / third.n_vertices)
+    source_scale = np.sqrt(lw.lambda_edge / max(source_edges.shape[0], 1))
+    third_scale = np.sqrt(lw.lambda_edge / max(third_edges.shape[0], 1))
 
-    def build(params):
-        tw1 = TwistAngles.wrap(params[:n_bones])
-        tw2 = TwistAngles.wrap(params[n_bones:])
-        tf1 = _pose_bones(source_kp, target_kp, tw1, tree)
-        inter = lbs_blend(source.vertices, w1, tf1)
+    def pose(params):
+        """Bone transforms of both hops."""
+        tf1 = _pose_bones(source_kp, target_kp, TwistAngles.wrap(params[:n_bones]), tree)
         if intermediate_regressor is not None:
+            inter = lbs_blend(source.vertices, w1, tf1)
             inter_kp = regress_keypoints(inter, intermediate_regressor)
         else:
             inter_kp = KeypointSet(tf1.posed_joints)
-        out = lbs_blend(third.vertices, w2, _pose_bones(third_kp, inter_kp, tw2, tree))
-        return inter, out
+        tf2 = _pose_bones(third_kp, inter_kp, TwistAngles.wrap(params[n_bones:]), tree)
+        return tf1, tf2
 
     def objective(params):
-        inter, out = build(params)
+        tf1, tf2 = pose(params)
+        inter = lbs_blend(source.vertices, w1, tf1)
+        out = lbs_blend(third.vertices, w2, tf2)
         e1, l1 = edge_term(inter, source_edges, source_rest)
         e2, l2 = edge_term(out, third_edges, third_rest)
         if (l1 == 0.0).any() or (l2 == 0.0).any():
-            return np.inf
-        return total_loss(lw, cycle=pmd(out, target.vertices), edge=e1 + e2).total
+            return None
+        r = np.concatenate(
+            [
+                cycle_scale * (out - target.vertices).ravel(),
+                source_scale * (l1 - source_rest),
+                third_scale * (l2 - third_rest),
+            ]
+        )
 
-    x, _, _ = _minimize(
+        def jacobian():
+            jac = np.empty((r.shape[0], params.shape[0]))
+            inter_dirs = _edge_directions(inter, source_edges, l1)
+            out_dirs = _edge_directions(out, third_edges, l2)
+            for m, (t1, t2) in enumerate(_tangents(pose, params)):
+                d_inter = lbs_blend(source.vertices, w1, t1)
+                d_out = lbs_blend(third.vertices, w2, t2)
+                jac[:, m] = np.concatenate(
+                    [
+                        cycle_scale * d_out.ravel(),
+                        source_scale * _length_rates(inter_dirs, source_edges, d_inter),
+                        third_scale * _length_rates(out_dirs, third_edges, d_out),
+                    ]
+                )
+            return jac
+
+        total = total_loss(lw, cycle=pmd(out, target.vertices), edge=e1 + e2).total
+        return total, r, jacobian
+
+    x, _, _, _ = _minimize(
         objective,
         np.zeros(2 * n_bones, dtype=np.float64),
         config.optimizer.max_iters,
         config.optimizer.step_size,
         config.optimizer.tolerance,
     )
-    _, out = build(x)
-    out = third.with_vertices(out)
+    _, tf2 = pose(x)
+    out = third.with_vertices(lbs_blend(third.vertices, w2, tf2))
     if config.refinement.enabled:
         out = refine(out, third, config)
     return pmd(out, target)
@@ -626,6 +813,7 @@ def save_result(result: TransferResult, out_dir, extra: dict | None = None) -> d
     save_weights(result.weights, out / "weights.csv")
     summary = {
         "iterations": len(result.losses) - 1,
+        "stop_reason": result.stop_reason,
         "final": result.losses[-1].to_dict() if result.losses else None,
         "twists": [float(p) for p in result.twists.phi],
     }

@@ -54,6 +54,7 @@ def test_transfer_command(puppet_files, capsys):
     assert (d / "out" / "summary.json").is_file()
     assert "refined_edge_loss" in payload
     assert payload["iterations"] >= 0
+    assert payload["stop_reason"] == "converged"
 
 
 def test_transfer_via_target_mesh_and_regressor(puppet_files, capsys):
@@ -177,6 +178,10 @@ def test_transfer_config_typo_exits_1(puppet_files, capsys):
             {"gmm": {"radii": [0.5, -0.5], "optimize_radii": True}},
             "radii must be finite and positive",
         ),
+        ({"loss_weights": {"edge": "x"}}, "loss_weights.edge must be a finite nonnegative"),
+        ({"loss_weights": {"edge": -1.0}}, "loss_weights.edge must be a finite nonnegative"),
+        ({"optimizer": 5}, "optimizer must be a JSON object, not 5"),
+        ({"loss_weights": 5}, "loss_weights must be a JSON object, not 5"),
     ],
 )
 def test_transfer_bad_config_value_exits_1(puppet_files, capsys, block, message):
@@ -193,6 +198,22 @@ def test_transfer_bad_config_value_exits_1(puppet_files, capsys, block, message)
     assert code == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and message in line
+
+
+def test_transfer_config_that_is_not_an_object_exits_1(puppet_files, capsys):
+    d, _ = puppet_files
+    (d / "config.json").write_text(json.dumps([{"tree": "tree.json"}]))
+    code = main([
+        "transfer",
+        "--source", str(d / "rest.obj"),
+        "--source-kp", str(d / "rest_kp.json"),
+        "--target-kp", str(d / "posed_kp.json"),
+        "--config", str(d / "config.json"),
+        "--out", str(d / "out"),
+    ])
+    assert code == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "error: config must be a JSON object, not a list"
 
 
 @pytest.mark.parametrize(

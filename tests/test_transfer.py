@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from posekit import (
     DivergenceError,
@@ -34,11 +35,12 @@ from posekit import (
     TwistAngles,
     forward_kinematics,
     lbs_apply,
+    numerical_gradient,
     scalable_ik,
     total_loss,
     transfer,
 )
-from posekit.transfer import _minimize, load_manifest
+from posekit.transfer import _descend, _minimize, load_manifest
 
 
 def puppet_config(puppet, **opt):
@@ -51,40 +53,89 @@ def puppet_config(puppet, **opt):
 # -- optimizer --
 
 
-def test_minimize_quadratic():
-    A = np.diag([1.0, 4.0])
+def squares(root):
+    """Objective x' root' root x for _minimize: value, residuals, Jacobian."""
 
     def f(x):
-        return float(x @ A @ x)
+        r = root @ x
+        return float(r @ r), r, lambda: root
 
-    x, values, points = _minimize(f, np.array([2.0, -1.5]), 200, 1.0, 1e-14)
+    return f
+
+
+def test_minimize_quadratic():
+    f = squares(np.diag([1.0, 2.0]))
+    x, values, points, stop = _minimize(f, np.array([2.0, -1.5]), 200, 1.0, 1e-14)
     assert np.max(np.abs(x)) <= 1e-5
-    assert values[0] == f(np.array([2.0, -1.5]))
+    assert values[0] == f(np.array([2.0, -1.5]))[0]
     assert len(values) == len(points)
     assert all(b < a for a, b in zip(values, values[1:]))  # strict descent
+    assert stop == "converged"
+
+
+def test_minimize_rosenbrock():
+    # r = (10 (x2 - x1^2), 1 - x1): a curved valley Gauss-Newton alone overshoots
+    def f(x):
+        r = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+        return float(r @ r), r, lambda: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+    x, values, _, stop = _minimize(f, np.array([-1.2, 1.0]), 100, 1.0, 1e-20)
+    assert np.max(np.abs(x - 1.0)) <= 1e-8
+    assert all(b < a for a, b in zip(values, values[1:]))
+    assert stop == "converged" and len(values) < 100
+
+
+def test_minimize_first_step_is_the_gradient_step():
+    # negligible curvature against the damping 1/step_size: x1 = x0 - step_size * g
+    root = np.array([[1e-9, 0.0], [0.0, 2e-9]])
+    x0 = np.array([1.0, 1.0])
+    g = 2.0 * root.T @ (root @ x0)
+    _, _, points, stop = _minimize(squares(root), x0, 1, 1e6, 0.0)
+    assert np.allclose(points[1], x0 - 1e6 * g, rtol=1e-6)
+    assert stop == "max_iters"
 
 
 def test_minimize_starts_at_optimum():
-    x, values, _ = _minimize(lambda v: float(v @ v), np.zeros(3), 50, 1.0, 1e-12)
+    x, values, _, stop = _minimize(squares(np.eye(3)), np.zeros(3), 50, 1.0, 1e-12)
     assert np.array_equal(x, np.zeros(3))
     assert values == [0.0]
+    assert stop == "zero_gradient"
+
+
+def test_minimize_stop_reasons():
+    f = squares(np.diag([1.0, 2.0]))
+    x0 = np.array([2.0, -1.5])
+    _, values, _, stop = _minimize(f, x0, 3, 1.0, 1e-14)
+    assert stop == "max_iters" and len(values) == 4
+    _, values, _, stop = _minimize(f, x0, 0, 1.0, 1e-14)
+    assert stop == "max_iters" and len(values) == 1
+
+    def only_start(x):  # every trial is rejected
+        return f(x) if np.array_equal(x, x0) else None
+
+    x, values, _, stop = _minimize(only_start, x0, 50, 1.0, 1e-14)
+    assert stop == "no_decrease"
+    assert np.array_equal(x, x0) and len(values) == 1
 
 
 def test_minimize_nonfinite_start_raises():
     with pytest.raises(DivergenceError):
-        _minimize(lambda v: float("nan"), np.zeros(2), 10, 1.0, 1e-12)
+        _minimize(lambda v: (float("nan"), v, None), np.zeros(2), 10, 1.0, 1e-12)
+    with pytest.raises(DivergenceError):
+        _minimize(lambda v: None, np.zeros(2), 10, 1.0, 1e-12)
 
 
 def test_minimize_analytic_gradient_path():
+    # the gradient descent refine runs on
     def f(x):
         return float(x @ x)
 
     def g(x):
         return 2.0 * x
 
-    x, values, _ = _minimize(f, np.array([3.0, -4.0]), 100, 1.0, 1e-14, grad=g)
+    x = _descend(f, g, np.array([3.0, -4.0]), 100, 1.0, 1e-14)
     assert np.max(np.abs(x)) <= 1e-6
-    assert values[-1] <= 1e-10
+    assert f(x) <= 1e-10
 
 
 # -- puppet generator --
@@ -298,6 +349,145 @@ def test_transfer_bad_radii_count():
         pose_transfer(p.rest_mesh, p.rest_keypoints, p.posed_keypoints, cfg)
 
 
+def test_transfer_recovers_the_eight_segment_twist():
+    p = make_puppet(8, 0.3, 0.3, 0)
+    res = pose_transfer(
+        p.rest_mesh, p.rest_keypoints, p.posed_keypoints, puppet_config(p),
+        target_mesh=p.posed_mesh,
+    )
+    assert abs(res.twists.phi[-1] - 0.3) <= 1e-3
+    assert np.abs(res.twists.phi[:-1]).max() <= 1e-3
+    assert res.stop_reason == "converged"  # before the max_iters cap
+
+
+def test_unsupervised_bend_only_transfer_keeps_zero_twist():
+    # twist is invisible to keypoints: the edge term alone must not drift
+    # the twists along its near-flat valley
+    p = make_puppet(8, 0.3, 0.0, 0)
+    res = pose_transfer(p.rest_mesh, p.rest_keypoints, p.posed_keypoints, puppet_config(p))
+    assert np.abs(res.twists.phi).max() <= 1e-6
+    assert pmd(res.refined, p.posed_mesh) <= 1e-6
+
+
+def test_transfer_max_iters_stop_reason_is_saved(tmp_path):
+    p = make_puppet(2, np.pi / 3, np.pi / 4, seed=0)
+    res = pose_transfer(
+        p.rest_mesh, p.rest_keypoints, p.posed_keypoints, puppet_config(p, max_iters=3),
+        target_mesh=p.posed_mesh,
+    )
+    assert res.stop_reason == "max_iters" and len(res.losses) == 4
+    summary = save_result(res, tmp_path)
+    assert json.loads((tmp_path / "summary.json").read_text())["stop_reason"] == "max_iters"
+    assert summary["stop_reason"] == "max_iters"
+
+
+# -- twist Jacobian --
+
+
+def captured_objective(run):
+    """The objective ``run()`` hands to ``_minimize``."""
+    got = []
+    real = transfer._minimize
+
+    def spy(f, x0, *args, **kwargs):
+        got.append(f)
+        return real(f, x0, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "_minimize", spy)
+        run()
+    return got[0]
+
+
+def assert_gradient_matches(f, x):
+    """2 J'r against central differences of the value, and r.r against the value.
+
+    The differences at two steps are extrapolated to cancel their h^2 error,
+    which near an exact fit outgrows the tolerance. Per component, as the
+    twists a term hardly sees have tiny gradients; the absolute slack covers
+    the differences' rounding, about 7e-11 |value|.
+    """
+    value, r, jacobian = f(x)
+    assert float(r @ r) == pytest.approx(value, rel=1e-12)
+    got = 2.0 * jacobian().T @ r
+    fd = [numerical_gradient(lambda y: f(y)[0], x, step) for step in (1e-5, 5e-6)]
+    want = (4.0 * fd[1] - fd[0]) / 3.0
+    assert np.all(np.abs(got - want) <= 1e-5 * np.abs(want) + 1e-9 * value)
+
+
+def solve_nothing(puppet):
+    cfg = puppet_config(puppet, max_iters=0)
+    cfg.refinement.enabled = False
+    return cfg
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    segments=st.integers(1, 4),
+    bend=st.floats(0.1, 1.2),
+    twist=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**16),
+    supervised=st.booleans(),
+    data=st.data(),
+)
+def test_twist_jacobian_matches_finite_differences(segments, bend, twist, seed, supervised, data):
+    p = make_puppet(segments, bend, twist, seed, sides=8, rings_per_segment=3)
+    f = captured_objective(
+        lambda: pose_transfer(
+            p.rest_mesh, p.rest_keypoints, p.posed_keypoints, solve_nothing(p),
+            target_mesh=p.posed_mesh if supervised else None,
+        )
+    )
+    phi = np.array(
+        data.draw(st.lists(st.floats(-np.pi, np.pi), min_size=segments, max_size=segments))
+    )
+    # residuals near rounding (an exact fit) make the gradient rounding noise
+    assume(f(phi)[0] > 1e-12)
+    assert_gradient_matches(f, phi)
+
+
+def test_radii_jacobian_matches_finite_differences():
+    p = make_puppet(3, 0.5, 0.4, seed=2)
+    cfg = solve_nothing(p)
+    cfg.gmm.optimize_radii = True
+    f = captured_objective(
+        lambda: pose_transfer(
+            p.rest_mesh, p.rest_keypoints, p.posed_keypoints, cfg, target_mesh=p.posed_mesh
+        )
+    )
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        x = np.concatenate([rng.uniform(-1, 1, 3), np.log(rng.uniform(0.3, 0.8, 3))])
+        assert_gradient_matches(f, x)
+
+
+def ring_regressor(puppet, sides=16, rings_per_segment=8):
+    """Joint j reads the mean of the vertex ring at height j."""
+    n_joints = puppet.tree.n_joints
+    matrix = np.zeros((n_joints, puppet.rest_mesh.n_vertices))
+    for j in range(n_joints):
+        start = j * rings_per_segment * sides
+        matrix[j, start : start + sides] = 1.0 / sides
+    return JointRegressor(matrix)
+
+
+@pytest.mark.parametrize("with_regressor", [False, True])
+def test_cycle_jacobian_matches_finite_differences(with_regressor):
+    a = make_puppet(2, 0.6, 0.4, seed=0)
+    b = make_puppet(2, 0.6, 0.4, seed=7, radius=0.3)
+    c = make_puppet(2, 0.3, 0.0, seed=7, radius=0.3)
+    f = captured_objective(
+        lambda: cycle_reconstruct(
+            a.rest_mesh, a.rest_keypoints, b.posed_mesh, b.posed_keypoints,
+            c.posed_mesh, c.posed_keypoints, solve_nothing(a),
+            intermediate_regressor=ring_regressor(a) if with_regressor else None,
+        )
+    )
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        assert_gradient_matches(f, rng.uniform(-np.pi, np.pi, 4))
+
+
 # -- refinement --
 
 
@@ -370,13 +560,7 @@ def test_cycle_reconstruct_through_a_ring_regressor():
     pa = make_puppet(2, bend, twist, seed=0, radius=0.25)
     pb_t = make_puppet(2, bend, twist, seed=7, radius=0.3)
     pb_3 = make_puppet(2, np.pi / 6, 0.0, seed=7, radius=0.3)
-    # joint j reads the mean of the vertex ring at height j
-    sides, rings_per_segment = 16, 8
-    matrix = np.zeros((3, pa.rest_mesh.n_vertices))
-    for j in range(3):
-        start = j * rings_per_segment * sides
-        matrix[j, start : start + sides] = 1.0 / sides
-    regressor = JointRegressor(matrix)
+    regressor = ring_regressor(pa)
     assert keypoint_loss(
         regress_keypoints(pa.rest_mesh, regressor), pa.rest_keypoints
     ) <= 0.01
@@ -612,7 +796,8 @@ def test_pose_transfer_builds_meshes_only_at_the_boundary(monkeypatch, max_iters
         target_mesh=p.posed_mesh,
         weights=p.weights,
     )
-    assert len(res.losses) == max_iters + 1  # every step was taken
+    assert res.stop_reason == "max_iters"  # every step was taken
+    assert len(res.losses) == max_iters + 1
     assert len(built) == 2  # the coarse and the refined mesh
 
 
@@ -639,13 +824,13 @@ def test_losses_match_fresh_mesh_breakdowns(monkeypatch):
     # the optimizer's accepted iterate
     p = make_puppet(3, 0.5, 0.3, seed=4)
     cfg = puppet_config(p, max_iters=12)
-    solves = []  # accepted points of each _minimize call: twists, then refine
+    solves = []  # accepted points of the twist solve
     real = transfer._minimize
 
     def keep_points(*args, **kwargs):
-        x, values, points = real(*args, **kwargs)
-        solves.append(points)
-        return x, values, points
+        solve = real(*args, **kwargs)
+        solves.append(solve[2])
+        return solve
 
     monkeypatch.setattr(transfer, "_minimize", keep_points)
     res = pose_transfer(
@@ -656,8 +841,8 @@ def test_losses_match_fresh_mesh_breakdowns(monkeypatch):
         target_mesh=p.posed_mesh,
         weights=p.weights,
     )
-    iterates = solves[0]
-    assert len(res.losses) == len(iterates) == 13
+    (iterates,) = solves
+    assert len(res.losses) == len(iterates) >= 3
     for params, got in zip(iterates, res.losses):
         phi = TwistAngles.wrap(params)
         rel = scalable_ik(p.rest_keypoints, p.posed_keypoints, phi, p.tree)
@@ -728,15 +913,25 @@ def test_step_that_collapses_an_edge_is_rejected(monkeypatch):
     )
     assert seen["collapsed"] > 0
     assert np.abs(res.twists.phi).max() <= limit
-    assert len(res.losses) == 4
+    assert res.stop_reason == "max_iters" and len(res.losses) == 4
 
 
-def test_underflowing_radii_reject_the_step():
-    # a huge first trial step drives some log-radii far below zero; exp
-    # underflows to 0 there, and the step must be rejected, not raise
+def test_underflowing_radii_reject_the_step(monkeypatch):
+    # log-radii far below (above) zero make exp underflow to 0 (overflow to
+    # inf); the objective must reject such a point, not raise, and the
+    # solve goes on from the start
     p = make_puppet(2, 0.4, 0.5, seed=0)
-    cfg = puppet_config(p, max_iters=3, step_size=1e8)
+    cfg = puppet_config(p, max_iters=3)
     cfg.gmm.optimize_radii = True
+    seen = []
+    real = transfer._minimize
+
+    def probe_extremes(f, x0, *args, **kwargs):
+        for shift in (-1e4, 1e4):
+            seen.append(f(np.concatenate([x0[:2], x0[2:] + shift])))
+        return real(f, x0, *args, **kwargs)
+
+    monkeypatch.setattr(transfer, "_minimize", probe_extremes)
     with np.errstate(all="ignore"):
         res = pose_transfer(
             p.rest_mesh,
@@ -745,6 +940,7 @@ def test_underflowing_radii_reject_the_step():
             cfg,
             target_mesh=p.posed_mesh,
         )
+    assert seen == [None, None]
     totals = [b.total for b in res.losses]
     assert len(totals) == 4
     assert all(b < a for a, b in zip(totals, totals[1:]))
@@ -771,11 +967,31 @@ def test_config_rejects_unknown_block_keys():
         ({"optimizer": {"max_iters": -1}}, "optimizer.max_iters", "nonnegative"),
         ({"optimizer": {"step_size": 0}}, "optimizer.step_size", "positive"),
         ({"refinement": {"step_size": -1.0}}, "refinement.step_size", "positive"),
+        ({"loss_weights": {"edge": "x"}}, "loss_weights.edge", "finite nonnegative"),
+        ({"loss_weights": {"edge": -1.0}}, "loss_weights.edge", "finite nonnegative"),
+        ({"loss_weights": {"lambda_self": True}}, "loss_weights.lambda_self", "a finite"),
+        ({"loss_weights": {"cycle": float("inf")}}, "loss_weights.cycle", "a finite"),
+        ({"loss_weights": {"skin": None}}, "loss_weights.skin", "a finite"),
+        ({"optimizer": 5}, "optimizer", "a JSON object"),
+        ({"loss_weights": 5}, "loss_weights", "a JSON object"),
+        ({"gmm": [1.0]}, "gmm", "a JSON object"),
+        ({"refinement": "on"}, "refinement", "a JSON object"),
     ],
 )
 def test_config_rejects_mistyped_and_out_of_range_values(block, value, message):
     with pytest.raises(ValueError, match=rf"{value} must be .*{message}"):
         TransferConfig.from_dict({"tree": "smpl_24", **block})
+
+
+def test_config_must_be_an_object():
+    for data in ([], [{"tree": "smpl_24"}], "smpl_24", None):
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            TransferConfig.from_dict(data)
+
+
+def test_loss_weights_accept_zero_and_integers():
+    cfg = TransferConfig.from_dict({"tree": "smpl_24", "loss_weights": {"edge": 0, "self": 2}})
+    assert cfg.loss_weights.lambda_edge == 0 and cfg.loss_weights.lambda_self == 2
 
 
 def test_config_accepts_ints_for_floats():
