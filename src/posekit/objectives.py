@@ -154,19 +154,25 @@ def edge_discrepancy_gradient(
     source_vertices: np.ndarray, deformed_vertices: np.ndarray, edges: np.ndarray
 ) -> np.ndarray:
     """Gradient of ``edge_discrepancy`` in the deformed vertex positions."""
+    s = np.asarray(source_vertices, dtype=np.float64)
+    return _edge_term_gradient(deformed_vertices, edges, _lengths(s, edges))
+
+
+def _edge_term_gradient(
+    deformed_vertices: np.ndarray, edges: np.ndarray, rest_lengths: np.ndarray
+) -> np.ndarray:
+    """Gradient of ``edge_term``'s value in the deformed vertex positions."""
     d = np.asarray(deformed_vertices, dtype=np.float64)
     grad = np.zeros_like(d)
     if edges.shape[0] == 0:
         return grad
-    s = np.asarray(source_vertices, dtype=np.float64)
     i, j = edges[:, 0], edges[:, 1]
-    ls = np.linalg.norm(s[i] - s[j], axis=1)
     dv = d[i] - d[j]
     ld = np.linalg.norm(dv, axis=1)
     # A collapsed deformed edge has no defined direction; its subgradient 0
     # is used so the descent step stays finite.
     safe = np.where(ld > 0, ld, 1.0)
-    coef = np.where(ld > 0, 2.0 * (ld - ls) / (edges.shape[0] * safe), 0.0)
+    coef = np.where(ld > 0, 2.0 * (ld - rest_lengths) / (edges.shape[0] * safe), 0.0)
     contrib = coef[:, None] * dv
     np.add.at(grad, i, contrib)
     np.add.at(grad, j, -contrib)

@@ -6,6 +6,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +27,7 @@ from .mesh import Mesh, edge_lengths, load_mesh, pmd, save_mesh
 from .objectives import (
     LossBreakdown,
     LossWeights,
-    edge_discrepancy,
-    edge_discrepancy_gradient,
+    _edge_term_gradient,
     edge_term,
     total_loss,
 )
@@ -328,31 +328,124 @@ def _tangents(pose, x) -> list:
     return out
 
 
-def _edge_directions(posed, edges, lengths):
-    """Unit vectors along the edges of ``posed``."""
-    return (posed[edges[:, 0]] - posed[edges[:, 1]]) / lengths[:, None]
-
-
-def _length_rates(directions, edges, d_posed):
-    """Rates of the edge lengths along the vertex motion ``d_posed``."""
-    return np.einsum(
-        "ij,ij->i", directions, d_posed[edges[:, 0]] - d_posed[edges[:, 1]]
-    )
-
-
 def _pose_bones(rest_kp, target_kp, twists, tree) -> BoneTransformSet:
     """Bone transforms posing ``rest_kp`` onto ``target_kp``, rooted at its root."""
     rel = scalable_ik(rest_kp, target_kp, twists, tree)
     return forward_kinematics(rest_kp, rel, tree, root_position=target_kp.joints[0])
 
 
-def _rest_edges(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Edges and rest lengths of a mesh; DivergenceError if a length is not
-    finite (a NaN vertex, or squares that overflow), as no edge term can be."""
-    lengths = edge_lengths(mesh)
-    if not np.isfinite(lengths).all():
-        raise DivergenceError("rest edge lengths are not finite")
-    return mesh.edges, lengths
+class _Surface(NamedTuple):
+    """A skinned surface of a twist solve: its rest vertices, edges and rest
+    edge lengths, and the vertices its posed state is fit to, if any."""
+
+    vertices: np.ndarray
+    edges: np.ndarray
+    rest: np.ndarray
+    target: np.ndarray | None
+
+    @classmethod
+    def of(cls, mesh: Mesh, target: Mesh | None = None) -> "_Surface":
+        """DivergenceError if a rest length is not finite (a NaN vertex, or
+        squares that overflow), as no edge term can be; run before any
+        weights are built, which would call it bad input instead."""
+        rest = edge_lengths(mesh)
+        if not np.isfinite(rest).all():
+            raise DivergenceError("rest edge lengths are not finite")
+        fit_to = None if target is None else target.vertices
+        return cls(mesh.vertices, mesh.edges, rest, fit_to)
+
+
+def _twist_objective(surfaces, pose, skinning, n_twists, lw: LossWeights, fit: str):
+    """The ``_minimize`` objective of a twist solve over skinned surfaces.
+
+    ``pose(params[:n_twists])`` gives one BoneTransformSet per surface and
+    ``skinning(params)`` one SkinningMatrix per surface, or None to reject
+    ``params``. A point where a posed edge collapses is rejected too. The
+    residuals are the fit blocks (posed minus target vertices), then the
+    edge blocks (posed minus rest lengths), in surface order, scaled so
+    that ``r @ r`` is the ``total_loss`` total under ``lw`` with the summed
+    target PMD as its ``fit`` term ("self_recon" or "cycle") and the summed
+    edge terms.
+
+    The twist columns of the Jacobian difference only ``pose``
+    (``_tangents``); LBS is linear in the transforms, so they are exact in
+    the vertices. Further parameters (the log radii under
+    ``optimize_radii``) get central differences of the residuals.
+
+    Returns the objective and a callable giving the breakdown of the last
+    evaluation that passed the rejection checks: inside ``on_accept``, the
+    accepted one.
+    """
+    fit_weight = {"self_recon": lw.lambda_self, "cycle": lw.lambda_cycle}[fit]
+    # r @ r is the weighted total: lambda * mean of squares over each term
+    scales = [
+        np.sqrt(fit_weight / s.vertices.shape[0]) for s in surfaces if s.target is not None
+    ] + [
+        np.sqrt(lw.lambda_edge / max(s.edges.shape[0], 1)) for s in surfaces
+    ]
+
+    def stack(fit_rows, edge_rows):
+        """The fitted surfaces' blocks, then every surface's edge block, scaled."""
+        return np.concatenate(
+            [c * rows.ravel() for c, rows in zip(scales, fit_rows + edge_rows)]
+        )
+
+    def residuals(params):
+        """Breakdown, residuals and what the Jacobian reuses; None to reject."""
+        skins = skinning(params)
+        if skins is None:
+            return None
+        posed, lengths, offsets, fit_value, edge = [], [], [], 0.0, 0.0
+        for s, w, tf in zip(surfaces, skins, pose(params[:n_twists])):
+            p = lbs_blend(s.vertices, w, tf)
+            e, lens = edge_term(p, s.edges, s.rest)
+            if (lens == 0.0).any():
+                return None
+            posed.append(p)
+            lengths.append(lens)
+            edge += e
+            if s.target is not None:
+                fit_value += pmd(p, s.target)
+                offsets.append(p - s.target)
+        r = stack(offsets, [lens - s.rest for s, lens in zip(surfaces, lengths)])
+        return total_loss(lw, edge=edge, **{fit: fit_value}), r, skins, posed, lengths
+
+    latest = None
+
+    def objective(params):
+        nonlocal latest
+        out = residuals(params)
+        if out is None:
+            return None
+        latest, r, skins, posed, lengths = out
+
+        def jacobian():
+            jac = np.empty((r.shape[0], params.shape[0]))
+            directions = [
+                (p[s.edges[:, 0]] - p[s.edges[:, 1]]) / lens[:, None]
+                for s, p, lens in zip(surfaces, posed, lengths)
+            ]
+            for m, tangents in enumerate(_tangents(pose, params[:n_twists])):
+                motion = [
+                    lbs_blend(s.vertices, w, t)
+                    for s, w, t in zip(surfaces, skins, tangents)
+                ]
+                rates = [
+                    np.einsum("ij,ij->i", d, v[s.edges[:, 0]] - v[s.edges[:, 1]])
+                    for s, d, v in zip(surfaces, directions, motion)
+                ]
+                fit_motion = [v for s, v in zip(surfaces, motion) if s.target is not None]
+                jac[:, m] = stack(fit_motion, rates)
+            for m in range(n_twists, params.shape[0]):
+                lo, hi, width = _probe(residuals, params, m)
+                if lo is None or hi is None:
+                    raise DivergenceError("objective is not finite at a probe point")
+                jac[:, m] = (hi[1] - lo[1]) / width
+            return jac
+
+        return latest.total, r, jacobian
+
+    return objective, lambda: latest
 
 
 def pose_transfer(
@@ -374,19 +467,13 @@ def pose_transfer(
     skinning, then a Levenberg-Marquardt solve (``_minimize``) over the
     per-bone twist angles (and the log Gaussian radii when
     ``config.gmm.optimize_radii`` is set, which ignores any supplied
-    ``weights``). The objective is the weighted edge term plus, when
-    ``target_mesh`` is given (a same-connectivity mesh of the source
-    identity in the target pose), the weighted self-reconstruction error
-    against it, both as sums of squared residuals. Twist is invisible to
-    keypoints, so without a supervising mesh the twists stay where the edge
-    term puts them. Refinement runs once on the optimized coarse mesh when
-    enabled.
-
-    The Jacobian's kinematic part, the bone transforms' derivatives in the
-    twists, comes from central differences of the IK/FK chain alone, whose
-    cost does not depend on the vertex count; its vertex part is exact, as
-    LBS is linear in the transforms. Radii columns are central differences
-    of the residuals.
+    ``weights``). The solve is ``_twist_objective`` over one surface, the
+    source: its weighted edge term plus, when ``target_mesh`` is given (a
+    same-connectivity mesh of the source identity in the target pose), the
+    weighted self-reconstruction error against it, both as sums of squared
+    residuals. Twist is invisible to keypoints, so without a supervising
+    mesh the twists stay where the edge term puts them. Refinement runs
+    once on the optimized coarse mesh when enabled.
 
     Returns a TransferResult; ``losses`` is the accepted-step history of
     the optimizer, which is decreasing in ``total``, and ``stop_reason``
@@ -403,20 +490,14 @@ def pose_transfer(
     if c_mesh.n_vertices != source.n_vertices:
         raise ValueError("canonical mesh must share the source vertex count")
 
-    edges, rest_lengths = _rest_edges(source)
+    surface = _Surface.of(source, target_mesh)
     gmm = config.gmm
     if weights is None or gmm.optimize_radii:
         # under optimize_radii this validates the starting radii
         weights = pseudo_weights(
             c_mesh.vertices, c_kp, tree, gmm.temperature, gmm.radii
         )
-
     n_bones = tree.n_bones
-    lw = config.loss_weights
-    vertices = source.vertices
-    # r @ r is the weighted total: lambda * mean of squares over each term
-    self_scale = np.sqrt(lw.lambda_self / vertices.shape[0])
-    edge_scale = np.sqrt(lw.lambda_edge / max(edges.shape[0], 1))
 
     def pose(twists):
         return (_pose_bones(source_kp, target_kp, TwistAngles.wrap(twists), tree),)
@@ -424,57 +505,16 @@ def pose_transfer(
     def skinning(params):
         """Skinning weights; None if the radii under- or overflow."""
         if not gmm.optimize_radii:
-            return weights
+            return (weights,)
         radii = np.exp(params[n_bones:])
         if not ((radii > 0) & (radii < np.inf)).all():
             return None
-        return pseudo_weights(c_mesh.vertices, c_kp, tree, gmm.temperature, radii)
+        return (pseudo_weights(c_mesh.vertices, c_kp, tree, gmm.temperature, radii),)
 
-    def residuals(params):
-        """Loss breakdown, residuals and what the Jacobian reuses; None to reject."""
-        w = skinning(params)
-        if w is None:
-            return None
-        (tf,) = pose(params[:n_bones])
-        posed = lbs_blend(vertices, w, tf)
-        e, lengths = edge_term(posed, edges, rest_lengths)
-        if (lengths == 0.0).any():
-            return None
-        r = edge_scale * (lengths - rest_lengths)
-        sr = 0.0
-        if target_mesh is not None:
-            sr = pmd(posed, target_mesh.vertices)
-            r = np.concatenate([self_scale * (posed - target_mesh.vertices).ravel(), r])
-        return total_loss(lw, self_recon=sr, edge=e), r, w, posed, lengths
-
+    objective, latest = _twist_objective(
+        [surface], pose, skinning, n_bones, config.loss_weights, "self_recon"
+    )
     history = []
-    latest = None  # breakdown of the last evaluation past the rejection checks
-
-    def objective(params):
-        nonlocal latest
-        out = residuals(params)
-        if out is None:
-            return None
-        latest, r, w, posed, lengths = out
-
-        def jacobian():
-            jac = np.empty((r.shape[0], params.shape[0]))
-            directions = _edge_directions(posed, edges, lengths)
-            for m, (tangent,) in enumerate(_tangents(pose, params[:n_bones])):
-                d_posed = lbs_blend(vertices, w, tangent)
-                column = edge_scale * _length_rates(directions, edges, d_posed)
-                if target_mesh is not None:
-                    column = np.concatenate([self_scale * d_posed.ravel(), column])
-                jac[:, m] = column
-            for m in range(n_bones, params.shape[0]):
-                lo, hi, width = _probe(residuals, params, m)
-                if lo is None or hi is None:
-                    raise DivergenceError("objective is not finite at a probe point")
-                jac[:, m] = (hi[1] - lo[1]) / width
-            return jac
-
-        return latest.total, r, jacobian
-
     x0 = np.zeros(n_bones, dtype=np.float64)
     if gmm.optimize_radii:
         start = default_radii(c_kp, tree) if gmm.radii is None else gmm.radii
@@ -485,9 +525,9 @@ def pose_transfer(
         config.optimizer.max_iters,
         config.optimizer.step_size,
         config.optimizer.tolerance,
-        on_accept=lambda: history.append(latest),
+        on_accept=lambda: history.append(latest()),
     )
-    w = skinning(x)
+    (w,) = skinning(x)
     (tf,) = pose(x[:n_bones])
     coarse = lbs_apply(source, w, tf)
     refined = refine(coarse, source, config) if config.refinement.enabled else coarse
@@ -517,17 +557,17 @@ def refine(coarse: Mesh, source: Mesh, config: TransferConfig) -> Mesh:
     if not ridge >= 0:
         raise ValueError("ridge must be nonnegative")
     edges = source.edges
-    sv = source.vertices
+    rest = edge_lengths(source)
     cv = coarse.vertices
-    n = sv.shape[0]
+    n = cv.shape[0]
 
     def f(dv):
         d = cv + dv.reshape(n, 3)
-        return edge_discrepancy(sv, d, edges) + ridge * float(np.dot(dv, dv))
+        return edge_term(d, edges, rest)[0] + ridge * float(np.dot(dv, dv))
 
     def g(dv):
         d = cv + dv.reshape(n, 3)
-        return edge_discrepancy_gradient(sv, d, edges).ravel() + 2.0 * ridge * dv
+        return _edge_term_gradient(d, edges, rest).ravel() + 2.0 * ridge * dv
 
     x = _descend(
         f,
@@ -578,14 +618,18 @@ def cycle_reconstruct(
     third mesh (identity B, same identity as the target but a different
     pose) is posed onto the intermediate result, and the second output is
     compared to the target (identity B in the target pose). Twists of both
-    hops are solved jointly by Levenberg-Marquardt (``_minimize``) under the
-    weighted cycle and edge terms, as sums of squared residuals.
+    hops are solved jointly by Levenberg-Marquardt (``_minimize``) on
+    ``_twist_objective`` over two surfaces, the intermediate (edge term
+    only) and the output (cycle and edge terms), as sums of squared
+    residuals.
 
     Intermediate keypoints are the first hop's posed joints; passing a
     regressor re-reads them from the intermediate surface instead. The
     Jacobian differences the two-hop map from twists to both hops' bone
     transforms (which includes the first hop's blend when a regressor reads
-    the intermediate keypoints) and is exact in the vertices.
+    the intermediate keypoints) and is exact in the vertices. The first
+    hop does not depend on the second hop's twists, so it is computed once
+    for all of their probes.
     """
     tree = config.tree
     source_kp.validate_for(tree)
@@ -593,64 +637,35 @@ def cycle_reconstruct(
     third_kp.validate_for(tree)
     if not third.same_connectivity(target):
         raise ValueError("third mesh must share the target identity connectivity")
-    lw = config.loss_weights
-    n_bones = tree.n_bones
-
-    source_edges, source_rest = _rest_edges(source)
-    third_edges, third_rest = _rest_edges(third)
+    surfaces = [_Surface.of(source), _Surface.of(third, target)]
     gmm = config.gmm
     w1 = pseudo_weights(source.vertices, source_kp, tree, gmm.temperature, gmm.radii)
     w2 = pseudo_weights(third.vertices, third_kp, tree, gmm.temperature, gmm.radii)
-    cycle_scale = np.sqrt(lw.lambda_cycle / third.n_vertices)
-    source_scale = np.sqrt(lw.lambda_edge / max(source_edges.shape[0], 1))
-    third_scale = np.sqrt(lw.lambda_edge / max(third_edges.shape[0], 1))
+    n_bones = tree.n_bones
+    # the last hop 1 posed, keyed by its twists' bytes: the Jacobian's hop-2
+    # probes leave those twists bitwise equal, and their hop 1 is the same
+    hop1 = {}
 
     def pose(params):
         """Bone transforms of both hops."""
-        tf1 = _pose_bones(source_kp, target_kp, TwistAngles.wrap(params[:n_bones]), tree)
-        if intermediate_regressor is not None:
-            inter = lbs_blend(source.vertices, w1, tf1)
-            inter_kp = regress_keypoints(inter, intermediate_regressor)
-        else:
-            inter_kp = KeypointSet(tf1.posed_joints)
+        key = params[:n_bones].tobytes()
+        if key not in hop1:
+            twists = TwistAngles.wrap(params[:n_bones])
+            tf1 = _pose_bones(source_kp, target_kp, twists, tree)
+            if intermediate_regressor is not None:
+                inter = lbs_blend(source.vertices, w1, tf1)
+                inter_kp = regress_keypoints(inter, intermediate_regressor)
+            else:
+                inter_kp = KeypointSet(tf1.posed_joints)
+            hop1.clear()
+            hop1[key] = tf1, inter_kp
+        tf1, inter_kp = hop1[key]
         tf2 = _pose_bones(third_kp, inter_kp, TwistAngles.wrap(params[n_bones:]), tree)
         return tf1, tf2
 
-    def objective(params):
-        tf1, tf2 = pose(params)
-        inter = lbs_blend(source.vertices, w1, tf1)
-        out = lbs_blend(third.vertices, w2, tf2)
-        e1, l1 = edge_term(inter, source_edges, source_rest)
-        e2, l2 = edge_term(out, third_edges, third_rest)
-        if (l1 == 0.0).any() or (l2 == 0.0).any():
-            return None
-        r = np.concatenate(
-            [
-                cycle_scale * (out - target.vertices).ravel(),
-                source_scale * (l1 - source_rest),
-                third_scale * (l2 - third_rest),
-            ]
-        )
-
-        def jacobian():
-            jac = np.empty((r.shape[0], params.shape[0]))
-            inter_dirs = _edge_directions(inter, source_edges, l1)
-            out_dirs = _edge_directions(out, third_edges, l2)
-            for m, (t1, t2) in enumerate(_tangents(pose, params)):
-                d_inter = lbs_blend(source.vertices, w1, t1)
-                d_out = lbs_blend(third.vertices, w2, t2)
-                jac[:, m] = np.concatenate(
-                    [
-                        cycle_scale * d_out.ravel(),
-                        source_scale * _length_rates(inter_dirs, source_edges, d_inter),
-                        third_scale * _length_rates(out_dirs, third_edges, d_out),
-                    ]
-                )
-            return jac
-
-        total = total_loss(lw, cycle=pmd(out, target.vertices), edge=e1 + e2).total
-        return total, r, jacobian
-
+    objective, _ = _twist_objective(
+        surfaces, pose, lambda params: (w1, w2), 2 * n_bones, config.loss_weights, "cycle"
+    )
     x, _, _, _ = _minimize(
         objective,
         np.zeros(2 * n_bones, dtype=np.float64),
@@ -840,29 +855,47 @@ def load_manifest(path) -> dict:
           ]
         }
 
-    Paths are resolved relative to the manifest file and must exist.
+    Paths are resolved relative to the manifest file and must exist. A
+    pair's name, by default ``<ident>_<pose>__to__<ident>_<pose>``, names
+    its output directory, so it must be unique and one path component (not
+    empty, ``.`` or ``..``). Any other layout is a ValueError.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such manifest: {path}")
     data = json.loads(path.read_text())
     base = path.parent
+
+    def check(ok, what):
+        if not ok:
+            raise ValueError(f"{path}: {what}")
+
+    check(isinstance(data, dict), "manifest must be a JSON object")
     identities = data.get("identities")
     pairs = data.get("pairs")
-    if not isinstance(identities, dict) or not isinstance(pairs, list):
-        raise ValueError(f"{path}: manifest needs 'identities' and 'pairs'")
+    check(
+        isinstance(identities, dict) and isinstance(pairs, list),
+        "manifest needs 'identities' and 'pairs'",
+    )
     resolved: dict = {"identities": {}, "pairs": []}
     for name, ident in identities.items():
+        check(isinstance(ident, dict), f"identity {name!r} must be a JSON object")
         poses = ident.get("poses", {})
-        if not poses:
-            raise ValueError(f"{path}: identity {name!r} lists no poses")
+        check(isinstance(poses, dict), f"identity {name!r} poses must be a JSON object")
+        check(poses, f"identity {name!r} lists no poses")
         canonical = ident.get("canonical", next(iter(poses)))
-        if canonical not in poses:
-            raise ValueError(
-                f"{path}: identity {name!r} canonical pose {canonical!r} missing"
-            )
+        check(
+            isinstance(canonical, str) and canonical in poses,
+            f"identity {name!r} canonical pose {canonical!r} missing",
+        )
         entry = {"canonical": canonical, "poses": {}}
         for pose_name, files in poses.items():
+            check(
+                isinstance(files, dict)
+                and all(isinstance(files.get(k), str) for k in ("mesh", "keypoints")),
+                f"pose {pose_name!r} of {name!r} must be "
+                '{"mesh": <path>, "keypoints": <path>}',
+            )
             mesh_path = base / files["mesh"]
             kp_path = base / files["keypoints"]
             for p in (mesh_path, kp_path):
@@ -870,21 +903,33 @@ def load_manifest(path) -> dict:
                     raise FileNotFoundError(f"{path}: referenced file missing: {p}")
             entry["poses"][pose_name] = {"mesh": mesh_path, "keypoints": kp_path}
         resolved["identities"][name] = entry
+    names = set()
     for pair in pairs:
-        src = pair["source"]
-        tgt = pair["target"]
-        for ident, pose in (src, tgt):
-            if ident not in resolved["identities"]:
-                raise ValueError(f"{path}: unknown identity {ident!r}")
-            if pose not in resolved["identities"][ident]["poses"]:
-                raise ValueError(f"{path}: unknown pose {pose!r} of {ident!r}")
-        resolved["pairs"].append(
-            {
-                "name": pair.get("name", f"{src[0]}_{src[1]}__to__{tgt[0]}_{tgt[1]}"),
-                "source": tuple(src),
-                "target": tuple(tgt),
-            }
+        check(isinstance(pair, dict), f"pair {pair!r} must be a JSON object")
+        src, tgt = pair.get("source"), pair.get("target")
+        for ref in (src, tgt):
+            check(
+                isinstance(ref, list)
+                and len(ref) == 2
+                and all(isinstance(x, str) for x in ref),
+                f"pair source and target must be [identity, pose], not {ref!r}",
+            )
+            ident, pose = ref
+            check(ident in resolved["identities"], f"unknown identity {ident!r}")
+            check(
+                pose in resolved["identities"][ident]["poses"],
+                f"unknown pose {pose!r} of {ident!r}",
+            )
+        name = pair.get("name", f"{src[0]}_{src[1]}__to__{tgt[0]}_{tgt[1]}")
+        check(
+            isinstance(name, str)
+            and name not in ("", ".", "..")
+            and Path(name).name == name,
+            f"pair name {name!r} must be one path component, not '.' or '..'",
         )
+        check(name not in names, f"pair name {name!r} is used twice")
+        names.add(name)
+        resolved["pairs"].append({"name": name, "source": tuple(src), "target": tuple(tgt)})
     return resolved
 
 

@@ -366,6 +366,43 @@ def test_batch_command(tmp_path, capsys):
         assert (tmp_path / "runs" / name / "refined.obj").is_file()
 
 
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        (("pairs", 0, "source"), [["a"], "rest"], "must be [identity, pose]"),
+        (("identities", "a"), 5, "identity 'a' must be a JSON object"),
+        (("identities", "a", "poses", "rest"), "a.obj", "pose 'rest' of 'a' must be"),
+        (("pairs",), ["x"], "pair 'x' must be a JSON object"),
+        (("pairs", 1, "name"), "a_to_b", "pair name 'a_to_b' is used twice"),
+        (("pairs", 1, "name"), "../../esc", "'../../esc' must be one path component"),
+        (("pairs", 1, "name"), "..", "pair name '..' must be one path component"),
+    ],
+)
+def test_batch_malformed_manifest_exits_1(tmp_path, capsys, where, value, message):
+    path, a = manifest_fixture(tmp_path)
+    data = json.loads(path.read_text())
+    parent = data
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    path.write_text(json.dumps(data))
+    (tmp_path / "cfg.json").write_text(json.dumps({"tree": a.tree.to_dict()}))
+    out = tmp_path / "deep" / "er" / "runs"
+    code = main([
+        "batch",
+        "--manifest", str(path),
+        "--config", str(tmp_path / "cfg.json"),
+        "--out", str(out),
+        "--jobs", "2",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
+    assert not (tmp_path / "deep").exists() and not (tmp_path / "esc").exists()
+
+
 def test_console_script_runs(puppet_files):
     d, _ = puppet_files
     # the child interpreter imports the same posekit as this test run,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posekit import (
     EPS_PARALLEL,
@@ -486,3 +487,82 @@ def test_root_orientation_fallback_single_valid_bone():
 
 def test_eps_parallel_exported():
     assert 0 < EPS_PARALLEL < 1e-3
+
+
+# -- IK/FK properties over random trees --
+
+
+def unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+@st.composite
+def skeleton_pairs(draw):
+    """A random tree of 2-33 joints, source and target keypoints, twists.
+
+    Bone lengths differ between the two poses. About half the target bones
+    keep their source direction, the rest point anywhere; up to four are
+    folded back against their source direction, exactly or off by 1e-6 or
+    1e-3 rad, far from swing_rotation's parallel threshold on both sides.
+    Optionally the root's first two child bones are collinear in both poses.
+    """
+    n = draw(st.integers(2, 33))
+    parents = [-1] + [draw(st.integers(0, j - 1)) for j in range(1, n)]
+    collinear = n >= 3 and draw(st.booleans())
+    if collinear:
+        parents[1] = parents[2] = 0
+    tree = KinematicTree(parents)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    src_dirs = unit(rng.normal(size=(n, 3)))
+    tgt_dirs = np.where(rng.random((n, 1)) < 0.5, src_dirs, unit(rng.normal(size=(n, 3))))
+    off = draw(st.sampled_from([0.0, 1e-6, 1e-3]))
+    for j in draw(st.lists(st.integers(1, n - 1), max_size=4)):
+        perp = unit(np.cross(src_dirs[j], rng.normal(size=3)))
+        tgt_dirs[j] = unit(-src_dirs[j] + off * perp)
+    if collinear:
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        src_dirs[2] = sign * src_dirs[1]
+        tgt_dirs[2] = sign * tgt_dirs[1]
+    poses = []
+    for dirs, (lo, hi) in ((src_dirs, (0.5, 1.5)), (tgt_dirs, (0.3, 3.0))):
+        pts = np.empty((n, 3))
+        pts[0] = rng.normal(size=3)
+        for j in range(1, n):
+            pts[j] = pts[parents[j]] + dirs[j] * rng.uniform(lo, hi)
+        poses.append(KeypointSet(pts))
+    twists = TwistAngles.wrap(rng.uniform(-np.pi, np.pi, n - 1))
+    return tree, poses[0], poses[1], twists
+
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@PROPERTY
+@given(skeleton_pairs())
+def test_fk_of_ik_reproduces_target_directions_on_random_trees(pair):
+    tree, src, tgt, twists = pair
+    rel = scalable_ik(src, tgt, twists, tree)
+    posed = KeypointSet(forward_kinematics(src, rel, tree).posed_joints)
+    got = unit(posed.bone_vectors(tree))
+    assert np.max(np.abs(got - unit(tgt.bone_vectors(tree)))) <= 1e-9
+
+
+@PROPERTY
+@given(skeleton_pairs(), st.floats(0.05, 20.0))
+def test_ik_scale_invariance_on_random_trees(pair, c):
+    tree, src, tgt, twists = pair
+    scaled = KeypointSet(tgt.joints[0] + c * (tgt.joints - tgt.joints[0]))
+    base = scalable_ik(src, tgt, twists, tree)
+    # a swing 1e-6 rad short of a half turn takes its axis from a cross
+    # product of length 1e-6, which scales the directions' rounding by 1e6;
+    # the largest difference seen over 6000 draws is 5e-9
+    assert np.max(np.abs(scalable_ik(src, scaled, twists, tree) - base)) <= 1e-7
+
+
+@PROPERTY
+@given(skeleton_pairs())
+def test_twists_leave_posed_joints_on_random_trees(pair):
+    tree, src, tgt, twists = pair
+    plain = forward_kinematics(src, scalable_ik(src, tgt, no_twist(tree), tree), tree)
+    spun = forward_kinematics(src, scalable_ik(src, tgt, twists, tree), tree)
+    assert np.max(np.abs(spun.posed_joints - plain.posed_joints)) <= 1e-9

@@ -488,6 +488,44 @@ def test_cycle_jacobian_matches_finite_differences(with_regressor):
         assert_gradient_matches(f, rng.uniform(-np.pi, np.pi, 4))
 
 
+def test_cycle_jacobian_reuses_the_first_hop(monkeypatch):
+    # probes of the second hop's twists leave the first hop's twists as they
+    # are, so they share one posing of the first hop: 4K IK calls for the
+    # first hop's probes, 2K for the second's and at most one for their
+    # shared first hop (differencing all 2K twists through both hops is 8K)
+    a = make_puppet(2, 0.6, 0.4, seed=0)
+    b = make_puppet(2, 0.6, 0.4, seed=7, radius=0.3)
+    c = make_puppet(2, 0.3, 0.0, seed=7, radius=0.3)
+
+    def objective():
+        return captured_objective(
+            lambda: cycle_reconstruct(
+                a.rest_mesh, a.rest_keypoints, b.posed_mesh, b.posed_keypoints,
+                c.posed_mesh, c.posed_keypoints, solve_nothing(a),
+            )
+        )
+
+    f = objective()
+    x = np.random.default_rng(5).uniform(-np.pi, np.pi, 4)
+    # what one evaluation reuses from the last never changes a value
+    for j in range(4):
+        y = x.copy()
+        y[j] += 0.1
+        f(x)
+        assert f(y)[0] == objective()(y)[0]
+    _, _, jacobian = f(x)
+    real, calls = transfer.scalable_ik, []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(transfer, "scalable_ik", counted)
+    jacobian()
+    k = a.tree.n_bones
+    assert len(calls) <= 6 * k + 1
+
+
 # -- refinement --
 
 
