@@ -66,14 +66,35 @@ class KinematicTree:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KinematicTree":
-        return cls(np.asarray(data["parents"]), list(data["names"]))
+        """A tree from its JSON object: ``parents``, a list of integers, and
+        ``names``, a list of strings. Any other layout is a ValueError."""
+        if not (isinstance(data, dict) and "parents" in data and "names" in data):
+            raise ValueError("tree must be a JSON object with 'parents' and 'names'")
+        parents, names = data["parents"], data["names"]
+        if not (isinstance(parents, list) and all(map(_is_int, parents))):
+            raise ValueError("tree 'parents' must be a list of integers")
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise ValueError("tree 'names' must be a list of strings")
+        return cls(parents, names)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _from_json_file(path, kind: str, from_dict):
+    """``from_dict`` of a JSON file; a ValueError names the file."""
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"no such {kind} file: {path}")
+    try:
+        return from_dict(json.loads(path.read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_tree(path) -> KinematicTree:
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"no such tree file: {path}")
-    return KinematicTree.from_dict(json.loads(path.read_text()))
+    return _from_json_file(path, "tree", KinematicTree.from_dict)
 
 
 def save_tree(tree: KinematicTree, path) -> None:
@@ -126,14 +147,29 @@ class KeypointSet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KeypointSet":
-        return cls(np.asarray(data["joints"], dtype=np.float64))
+        """Keypoints from their JSON object, whose ``joints`` is a list of
+        ``[x, y, z]`` number triples. Any other layout is a ValueError."""
+        joints = data.get("joints") if isinstance(data, dict) else None
+        if not (
+            isinstance(joints, list)
+            and all(
+                isinstance(row, list) and len(row) == 3 and all(map(_is_number, row))
+                for row in joints
+            )
+        ):
+            raise ValueError(
+                "keypoints must be a JSON object whose 'joints' is a list of "
+                "[x, y, z] number triples"
+            )
+        return cls(joints)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def load_keypoints(path) -> KeypointSet:
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"no such keypoint file: {path}")
-    return KeypointSet.from_dict(json.loads(path.read_text()))
+    return _from_json_file(path, "keypoint", KeypointSet.from_dict)
 
 
 def save_keypoints(kp: KeypointSet, path) -> None:

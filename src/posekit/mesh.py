@@ -16,19 +16,21 @@ class Mesh:
 
     Faces may be empty (a bare point cloud). The undirected edge set is
     derived from the faces once, deduplicated and kept in lexicographic
-    order so that edge-indexed quantities are reproducible.
+    order so that edge-indexed quantities are reproducible. ``edges`` is
+    given only by ``with_vertices``, which carries over a mesh's own.
     """
 
     vertices: np.ndarray
     faces: np.ndarray
-    edges: np.ndarray = field(init=False, repr=False)
+    edges: np.ndarray | None = field(default=None, repr=False, kw_only=True)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64)
         self.faces = np.asarray(self.faces, dtype=np.int64)
         if self.faces.size == 0:
             self.faces = self.faces.reshape(0, 3)
-        self.edges = _face_edges(self.faces)
+        if self.edges is None:
+            self.edges = _face_edges(self.faces)
         self.validate()
 
     @property
@@ -58,11 +60,12 @@ class Mesh:
                 raise ValueError("zero-length edge")
 
     def copy(self) -> "Mesh":
-        return Mesh(self.vertices.copy(), self.faces.copy())
+        return self.with_vertices(self.vertices.copy())
 
     def with_vertices(self, vertices: np.ndarray) -> "Mesh":
-        """Same connectivity, new vertex positions."""
-        return Mesh(np.asarray(vertices, dtype=np.float64), self.faces.copy())
+        """Same connectivity, new vertex positions. Faces and edges carry over
+        as copies, not derived again; the new vertices are re-validated."""
+        return Mesh(vertices, self.faces.copy(), edges=self.edges.copy())
 
     def same_connectivity(self, other: "Mesh") -> bool:
         return (
@@ -73,11 +76,10 @@ class Mesh:
 
 
 def _face_edges(faces: np.ndarray) -> np.ndarray:
-    if faces.size == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    pairs = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [0, 2]]])
-    pairs = np.sort(pairs, axis=1)
-    return np.unique(pairs, axis=0)
+    n = int(faces.max(initial=-1)) + 1
+    ring = np.roll(faces, -1, axis=1)
+    keys = np.unique(np.minimum(faces, ring) * n + np.maximum(faces, ring))
+    return np.stack(np.divmod(keys, n), axis=1)
 
 
 def load_mesh(path) -> Mesh:
@@ -137,11 +139,8 @@ def load_mesh(path) -> Mesh:
 def save_mesh(mesh: Mesh, path) -> None:
     """Write a mesh as OBJ. Vertices round-trip exactly (repr precision)."""
     mesh.validate()
-    lines = []
-    for x, y, z in mesh.vertices:
-        lines.append(f"v {float(x)!r} {float(y)!r} {float(z)!r}")
-    for a, b, c in mesh.faces:
-        lines.append(f"f {a + 1} {b + 1} {c + 1}")
+    lines = ["v %r %r %r" % tuple(row) for row in mesh.vertices.tolist()]
+    lines += ["f %d %d %d" % tuple(row) for row in (mesh.faces + 1).tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

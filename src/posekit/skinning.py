@@ -66,7 +66,7 @@ class SkinningMatrix:
 
 def save_weights(weights: SkinningMatrix, path) -> None:
     """Dense CSV, one row per vertex. Full float precision."""
-    lines = [",".join(repr(float(x)) for x in row) for row in weights.weights]
+    lines = [",".join(map(repr, row)) for row in weights.weights.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -166,5 +166,6 @@ def lbs_blend(
 def lbs_apply(
     source: Mesh, weights: SkinningMatrix, transforms: BoneTransformSet
 ) -> Mesh:
-    """Deform a mesh by ``lbs_blend``. Connectivity is carried over unchanged."""
-    return Mesh(lbs_blend(source.vertices, weights, transforms), source.faces.copy())
+    """Deform a mesh by ``lbs_blend``. Faces and edges carry over from
+    ``source`` as copies (``with_vertices``); the posed vertices are re-validated."""
+    return source.with_vertices(lbs_blend(source.vertices, weights, transforms))

@@ -9,6 +9,7 @@ import pytest
 
 import posekit
 from posekit import (
+    KinematicTree,
     TransferConfig,
     make_puppet,
     save_keypoints,
@@ -325,6 +326,58 @@ def test_ik_check_unknown_tree_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_transfer_keypoints_that_are_not_an_object_exit_1(puppet_files, capsys):
+    d, _ = puppet_files
+    (d / "bad_kp.json").write_text("[1, 2]")
+    code = main([
+        "transfer",
+        "--source", str(d / "rest.obj"),
+        "--source-kp", str(d / "bad_kp.json"),
+        "--target-kp", str(d / "posed_kp.json"),
+        "--tree", str(d / "tree.json"),
+        "--out", str(d / "out"),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == (
+        f"error: {d / 'bad_kp.json'}: keypoints must be a JSON object whose "
+        "'joints' is a list of [x, y, z] number triples"
+    )
+    assert not (d / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "tree, message",
+    [
+        ([1, 2], "tree must be a JSON object with 'parents' and 'names'"),
+        ({"parents": [-1, 0, 1], "names": 5}, "tree 'names' must be a list of strings"),
+        (
+            {"parents": [-1, 0.5, 1], "names": ["a", "b", "c"]},
+            "tree 'parents' must be a list of integers",
+        ),
+        ({"parents": [-1, 0, 1]}, "tree must be a JSON object with 'parents' and 'names'"),
+    ],
+    ids=["not_an_object", "names_not_a_list", "fractional_parent", "no_names"],
+)
+def test_ik_check_malformed_tree_exits_1(tmp_path, capsys, tree, message):
+    kp = _random_pose(KinematicTree([-1, 0, 1]), np.random.default_rng(2))
+    save_keypoints(kp, tmp_path / "kp.json")
+    (tmp_path / "tree.json").write_text(json.dumps(tree))
+    code = main([
+        "ik-check",
+        "--source-kp", str(tmp_path / "kp.json"),
+        "--target-kp", str(tmp_path / "kp.json"),
+        "--tree", str(tmp_path / "tree.json"),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == f"error: {tmp_path / 'tree.json'}: {message}"
+
+
 def test_weights_export_and_compare(puppet_files, capsys):
     d, p = puppet_files
     save_weights(p.weights, d / "truth.csv")
@@ -364,6 +417,47 @@ def test_batch_command(tmp_path, capsys):
     assert set(payload) == {"a_to_b", "a_self"}
     for name in payload:
         assert (tmp_path / "runs" / name / "refined.obj").is_file()
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [("a", "rest", "b", "bent"), ("b", "rest", "a", "bent")],
+        [("a", "rest", "b", "bent"), ("b", "rest", "a", "bent"), ("a", "bent", "a", "bent"),
+         ("b", "bent", "b", "bent"), ("a", "rest", "a", "bent"), ("b", "rest", "b", "bent")],
+    ],
+    ids=["2_pairs", "6_pairs"],
+)
+def test_batch_derives_edges_once_per_mesh_file(tmp_path, capsys, monkeypatch, pairs):
+    # the manifest names 4 mesh files; every pair's coarse and refined mesh
+    # carries its source's edges over instead of deriving them again
+    path, a = manifest_fixture(tmp_path)
+    data = json.loads(path.read_text())
+    data["pairs"] = [
+        {"name": f"p{i}", "source": [si, sp], "target": [ti, tp]}
+        for i, (si, sp, ti, tp) in enumerate(pairs)
+    ]
+    path.write_text(json.dumps(data))
+    cfg = TransferConfig(tree=a.tree)
+    cfg.optimizer.max_iters = 3
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg.to_dict()))
+    derived = []
+    face_edges = posekit.mesh._face_edges
+
+    def counted(faces):
+        derived.append(1)
+        return face_edges(faces)
+
+    monkeypatch.setattr(posekit.mesh, "_face_edges", counted)
+    code, payload = run_cli(
+        capsys,
+        "batch",
+        "--manifest", str(path),
+        "--config", str(tmp_path / "cfg.json"),
+        "--out", str(tmp_path / "runs"),
+    )
+    assert code == 0 and len(payload) == len(pairs)
+    assert len(derived) == 4
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from posekit import Mesh, MetricReport, chamfer, edge_lengths, load_mesh, pmd, save_mesh
+from posekit.mesh import _face_edges
 
 
 def brute_chamfer(a, b):
@@ -79,6 +82,65 @@ def test_with_vertices_keeps_faces_shares_nothing():
     assert m.vertices[0, 0] == 0.0
 
 
+def shares_memory(a: Mesh, b: Mesh) -> bool:
+    return any(
+        np.shares_memory(x, y)
+        for x in (a.vertices, a.faces, a.edges)
+        for y in (b.vertices, b.faces, b.edges)
+    )
+
+
+@st.composite
+def face_arrays(draw):
+    """Up to 30 random triangles over up to a million vertices, plus one
+    triangle that uses the highest vertex index."""
+    n = draw(st.integers(3, 10**6))
+    triangle = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+    faces = draw(st.lists(triangle, max_size=30))
+    top = draw(st.lists(st.integers(0, n - 2), min_size=2, max_size=2, unique=True))
+    faces.append(draw(st.permutations([n - 1, *top])))
+    return np.array(faces, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(face_arrays())
+@example(np.array([[0, 1, 2]]))  # one face
+@example(np.array([[0, 1, 2], [2, 1, 3], [3, 1, 0]]))  # every edge shared
+@example(np.array([[5, 0, 9], [9, 8, 5]]))  # highest index in both faces
+def test_face_edges_equal_unique_rows_of_sorted_pairs(faces):
+    pairs = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [0, 2]]])
+    expected = np.unique(np.sort(pairs, axis=1), axis=0)
+    got = _face_edges(faces)
+    assert got.dtype == np.int64 and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("derive", ["with_vertices", "copy"])
+def test_carried_edges_equal_a_fresh_build_and_share_nothing(derive):
+    m = tet()
+    m2 = m.with_vertices(m.vertices * 2.0 + 1.0) if derive == "with_vertices" else m.copy()
+    assert np.array_equal(m2.edges, Mesh(m2.vertices.copy(), m2.faces.copy()).edges)
+    assert np.array_equal(m2.faces, m.faces)
+    assert not shares_memory(m, m2)
+
+
+def test_with_vertices_and_copy_revalidate():
+    m = tet()
+    bad = m.vertices.copy()
+    bad[3, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        m.with_vertices(bad)
+    with pytest.raises(ValueError, match="out of range"):
+        m.with_vertices(m.vertices[:3])  # faces use vertex 3
+    bad = m.vertices.copy()
+    bad[1] = bad[0]
+    with pytest.raises(ValueError, match="zero-length edge"):
+        m.with_vertices(bad)
+    m.vertices[0, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        m.copy()
+
+
 def test_same_connectivity():
     m = tet()
     assert m.same_connectivity(m.copy())
@@ -97,6 +159,18 @@ def test_obj_round_trip(tmp_path):
     back = load_mesh(p)
     assert np.array_equal(back.vertices, m.vertices)  # repr round-trips float64
     assert np.array_equal(back.faces, m.faces)
+
+
+def test_obj_golden_bytes(tmp_path):
+    # awkward floats keep their shortest repr: signed zero, the smallest
+    # subnormal, exponent notation from 1e16 on
+    v = np.array([[-0.0, 5e-324, 1e16], [0.1, 1.0, 123456789.123], [1.0, -0.0, 0.1]])
+    save_mesh(Mesh(v, np.array([[0, 1, 2]])), tmp_path / "g.obj")
+    assert (tmp_path / "g.obj").read_bytes() == (
+        b"v -0.0 5e-324 1e+16\nv 0.1 1.0 123456789.123\nv 1.0 -0.0 0.1\nf 1 2 3\n"
+    )
+    back = load_mesh(tmp_path / "g.obj")
+    assert back.vertices.tobytes() == v.tobytes()  # -0.0 included
 
 
 def test_obj_ignores_comments_and_slash_refs(tmp_path):

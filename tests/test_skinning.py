@@ -76,6 +76,21 @@ def test_weights_round_trip(tmp_path):
     assert np.array_equal(back.weights, w.weights)
 
 
+def test_weights_golden_bytes(tmp_path):
+    w = SkinningMatrix(
+        np.array(
+            [[-0.0, 1.0], [5e-324, 1.0], [0.1, 0.9], [1e-16, 0.9999999999999999],
+             [0.7, 0.30000000000000004]]
+        )
+    )
+    save_weights(w, tmp_path / "w.csv")
+    assert (tmp_path / "w.csv").read_bytes() == (
+        b"-0.0,1.0\n5e-324,1.0\n0.1,0.9\n1e-16,0.9999999999999999\n"
+        b"0.7,0.30000000000000004\n"
+    )
+    assert load_weights(tmp_path / "w.csv").weights.tobytes() == w.weights.tobytes()
+
+
 def test_bone_centers_and_radii():
     tree = KinematicTree([-1, 0, 1])
     kp = KeypointSet([[0, 0, 0], [0, 2, 0], [0, 2, 3]])
@@ -158,6 +173,27 @@ def test_lbs_identity_is_exact():
     out = lbs_apply(m, w, BoneTransformSet.identity(rest, tree))
     assert np.array_equal(out.vertices, m.vertices)
     assert np.array_equal(out.faces, m.faces)
+
+
+def test_lbs_apply_carries_edges_over_and_revalidates():
+    tree = KinematicTree([-1, 0])
+    rest = KeypointSet([[0, 0, 0], [0, 0, 1]])
+    m = square_mesh()
+    w = SkinningMatrix(np.ones((4, 1)))
+    tf = BoneTransformSet.identity(rest, tree)
+    tf.translations[:] = [[0.5, -1.0, 2.0]]
+    out = lbs_apply(m, w, tf)
+    assert np.array_equal(out.edges, Mesh(out.vertices.copy(), out.faces.copy()).edges)
+    for a in (out.vertices, out.faces, out.edges):
+        for b in (m.vertices, m.faces, m.edges):
+            assert not np.shares_memory(a, b)
+    tf.rotations[:] = 0.0  # every vertex lands on the translation
+    with pytest.raises(ValueError, match="zero-length edge"):
+        lbs_apply(m, w, tf)
+    tf.rotations[:] = np.eye(3)
+    tf.translations[0, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        lbs_apply(m, w, tf)
 
 
 def test_lbs_single_rigid_motion_any_weights():
