@@ -84,7 +84,8 @@ def _settings(cls, block: str, data: dict):
 
     Rejects unknown keys, a value of another JSON type than its field's
     (``"false"`` for a bool, ``1.5`` for an int, a non-finite float), a
-    negative ``max_iters`` and a ``step_size`` that is not positive.
+    negative ``max_iters``, ``tolerance`` or ``ridge`` and a ``step_size``
+    that is not positive.
     """
     fields = cls.__dataclass_fields__
     bad = set(data) - set(fields)
@@ -95,8 +96,9 @@ def _settings(cls, block: str, data: dict):
         got = type(value)
         if got not in types or (got is float and not np.isfinite(value)):
             raise ValueError(f"{block}.{key} must be {wanted}, not {value!r}")
-    if data.get("max_iters", 0) < 0:
-        raise ValueError(f"{block}.max_iters must be nonnegative")
+    for key in ("max_iters", "tolerance", "ridge"):
+        if data.get(key, 0) < 0:
+            raise ValueError(f"{block}.{key} must be nonnegative")
     if not data.get("step_size", 1.0) > 0:
         raise ValueError(f"{block}.step_size must be positive")
     return cls(**data)
@@ -936,47 +938,36 @@ def load_manifest(path) -> dict:
 def run_manifest(manifest_path, config: TransferConfig, out_dir, jobs: int = 1) -> list:
     """Run every pair of a manifest, one output directory per pair.
 
-    Pseudo skinning weights are computed once per source identity from its
-    canonical pose and reused for every pair drawing on that identity, so
-    repeated poses of one identity skin with bit-identical weights. Pairs
-    are independent; ``jobs`` > 1 fans them out over a thread pool without
-    changing any output.
+    Every referenced file is loaded, in manifest order, and each source
+    identity's pseudo weights are built once from its canonical pose before
+    any pair runs; then all pairs run on one pool of ``jobs`` threads. Every
+    pair runs: once the pool has drained, the first failing pair in manifest
+    order raises its error, so the outputs are the same at any ``jobs``.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, not {jobs}")
     manifest = load_manifest(manifest_path)
-    tree = config.tree
+    identities = manifest["identities"]
     poses: dict = {}
-
-    def fetch(ident, pose):
-        if (ident, pose) not in poses:
-            files = manifest["identities"][ident]["poses"][pose]
-            mesh, kp = load_mesh(files["mesh"]), load_keypoints(files["keypoints"])
-            poses[ident, pose] = mesh, kp
-        return poses[ident, pose]
-
     canonicals: dict = {}
-
-    def canonical(ident):
-        """Canonical mesh, keypoints and pseudo weights of an identity."""
+    for pair in manifest["pairs"]:
+        ident = pair["source"][0]
+        canonical = (ident, identities[ident]["canonical"])
+        for key in (pair["source"], pair["target"], canonical):
+            if key not in poses:
+                files = identities[key[0]]["poses"][key[1]]
+                poses[key] = load_mesh(files["mesh"]), load_keypoints(files["keypoints"])
         if ident not in canonicals:
-            c_mesh, c_kp = fetch(ident, manifest["identities"][ident]["canonical"])
+            c_mesh, c_kp = poses[canonical]
             weights = pseudo_weights(
-                c_mesh.vertices, c_kp, tree, config.gmm.temperature, config.gmm.radii
+                c_mesh.vertices, c_kp, config.tree, config.gmm.temperature, config.gmm.radii
             )
             canonicals[ident] = c_mesh, c_kp, weights
-        return canonicals[ident]
-
-    # Hydrate caches serially; the parallel section then only computes.
-    for pair in manifest["pairs"]:
-        fetch(*pair["source"])
-        fetch(*pair["target"])
-        canonical(pair["source"][0])
 
     def run_pair(pair):
-        s_mesh, s_kp = fetch(*pair["source"])
-        _, t_kp = fetch(*pair["target"])
-        c_mesh, c_kp, weights = canonical(pair["source"][0])
+        s_mesh, s_kp = poses[pair["source"]]
+        _, t_kp = poses[pair["target"]]
+        c_mesh, c_kp, weights = canonicals[pair["source"][0]]
         result = pose_transfer(
             s_mesh,
             s_kp,
@@ -989,9 +980,6 @@ def run_manifest(manifest_path, config: TransferConfig, out_dir, jobs: int = 1) 
         summary = save_result(result, Path(out_dir) / pair["name"])
         return pair["name"], summary
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_pair, manifest["pairs"]))
-    else:
-        results = [run_pair(p) for p in manifest["pairs"]]
-    return results
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(run_pair, pair) for pair in manifest["pairs"]]
+    return [future.result() for future in futures]

@@ -183,6 +183,8 @@ def test_transfer_config_typo_exits_1(puppet_files, capsys):
         ({"loss_weights": {"edge": -1.0}}, "loss_weights.edge must be a finite nonnegative"),
         ({"optimizer": 5}, "optimizer must be a JSON object, not 5"),
         ({"loss_weights": 5}, "loss_weights must be a JSON object, not 5"),
+        ({"optimizer": {"tolerance": -1.0}}, "optimizer.tolerance must be nonnegative"),
+        ({"refinement": {"ridge": -1.0}}, "refinement.ridge must be nonnegative"),
     ],
 )
 def test_transfer_bad_config_value_exits_1(puppet_files, capsys, block, message):
@@ -417,6 +419,46 @@ def test_batch_command(tmp_path, capsys):
     assert set(payload) == {"a_to_b", "a_self"}
     for name in payload:
         assert (tmp_path / "runs" / name / "refined.obj").is_file()
+
+
+def test_batch_failing_pair_leaves_the_same_outputs_at_any_jobs(tmp_path, capsys):
+    # identity c skins from a's rest pose but its "thin" pose has fewer
+    # vertices, so the first pair fails inside pose_transfer
+    path, a = manifest_fixture(tmp_path)
+    thin = make_puppet(2, np.pi / 6, 0.0, seed=0, sides=12)
+    save_mesh(thin.rest_mesh, tmp_path / "c_thin.obj")
+    save_keypoints(thin.rest_keypoints, tmp_path / "c_thin.json")
+    data = json.loads(path.read_text())
+    data["identities"]["c"] = {
+        "canonical": "rest",
+        "poses": {
+            "rest": data["identities"]["a"]["poses"]["rest"],
+            "thin": {"mesh": "c_thin.obj", "keypoints": "c_thin.json"},
+        },
+    }
+    data["pairs"].insert(0, {"name": "c_to_b", "source": ["c", "thin"], "target": ["b", "bent"]})
+    path.write_text(json.dumps(data))
+    cfg = TransferConfig(tree=a.tree)
+    cfg.optimizer.max_iters = 3
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg.to_dict()))
+    runs = {}
+    for jobs in (1, 2, 3):
+        out = tmp_path / f"runs{jobs}"
+        code = main([
+            "batch",
+            "--manifest", str(path),
+            "--config", str(tmp_path / "cfg.json"),
+            "--out", str(out),
+            "--jobs", str(jobs),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: canonical mesh must share the source vertex count\n"
+        assert sorted(d.name for d in out.iterdir()) == ["a_self", "a_to_b"]
+        runs[jobs] = {
+            f.relative_to(out): f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()
+        }
+    assert runs[1] == runs[2] == runs[3]
 
 
 @pytest.mark.parametrize(

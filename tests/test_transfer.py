@@ -1014,6 +1014,8 @@ def test_config_rejects_unknown_block_keys():
         ({"loss_weights": 5}, "loss_weights", "a JSON object"),
         ({"gmm": [1.0]}, "gmm", "a JSON object"),
         ({"refinement": "on"}, "refinement", "a JSON object"),
+        ({"optimizer": {"tolerance": -1.0}}, "optimizer.tolerance", "nonnegative"),
+        ({"refinement": {"ridge": -1.0}}, "refinement.ridge", "nonnegative"),
     ],
 )
 def test_config_rejects_mistyped_and_out_of_range_values(block, value, message):
