@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
-from importlib import resources
+import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -78,18 +78,82 @@ class KinematicTree:
         return cls(parents, names)
 
 
+# JSON input rules: every JSON file, number and config block is read here.
+
+
+def _is_number(x) -> bool:
+    """An int or float, not a bool, that float64 holds: NaN, infinities and
+    larger integers fail, without being converted."""
+    number = isinstance(x, (int, float)) and not isinstance(x, bool)
+    return number and abs(x) <= sys.float_info.max
+
+
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    """An int, not a bool, that int64 holds."""
+    return isinstance(x, int) and not isinstance(x, bool) and -(2**63) <= x < 2**63
 
 
-def _from_json_file(path, kind: str, from_dict):
-    """``from_dict`` of a JSON file; a ValueError names the file."""
+# (test, wanted) of a config value, by the type of its field's default
+_RULES = {
+    bool: (lambda x: isinstance(x, bool), "true or false"),
+    int: (_is_int, "an integer"),
+    float: (_is_number, "a finite number"),
+    type(None): (lambda x: x is None or isinstance(x, list), "a list of numbers or null"),
+}
+_WEIGHT = (lambda x: _is_number(x) and x >= 0, "a finite nonnegative number")
+
+
+def _settings(cls, block: str, data):
+    """A config block's dataclass from its JSON object; any other block is a
+    ValueError.
+
+    Each value must pass the rule of its field's default type, a list's
+    elements (``gmm.radii``) must be positive numbers, and a number is stored
+    as float in a float field. A class with ``aliases`` for its field names
+    (``LossWeights``) holds weights: every value must be a number of at
+    least 0. ``max_iters``, ``tolerance`` and ``ridge`` must be at least 0,
+    ``step_size`` above 0.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{block} must be a JSON object, not {data!r}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    aliases = getattr(cls, "aliases", {})
+    bad = set(data) - set(defaults) - set(aliases)
+    if bad:
+        raise ValueError(f"unknown {block} keys: {sorted(bad)}")
+    kwargs = {}
+    for key, value in data.items():
+        name = aliases.get(key, key)
+        if name in kwargs:
+            raise ValueError(f"{block}.{name} given twice")
+        test, wanted = _WEIGHT if aliases else _RULES[type(defaults[name])]
+        if not test(value):
+            raise ValueError(f"{block}.{key} must be {wanted}, not {value!r}")
+        if isinstance(value, list):
+            if not all(_is_number(r) and r > 0 for r in value):
+                raise ValueError(f"{block}.{key} must be finite and positive, not {value!r}")
+            value = [float(r) for r in value]
+        kwargs[name] = float(value) if isinstance(defaults[name], float) else value
+    for key in ("max_iters", "tolerance", "ridge"):
+        if kwargs.get(key, 0) < 0:
+            raise ValueError(f"{block}.{key} must be nonnegative")
+    if not kwargs.get("step_size", 1.0) > 0:
+        raise ValueError(f"{block}.step_size must be positive")
+    return cls(**kwargs)
+
+
+def _from_json_file(path, kind: str, from_dict=lambda data: data):
+    """``from_dict`` of the JSON value of a ``kind`` file.
+
+    A missing file is a FileNotFoundError; a decode error, or a ValueError
+    of ``from_dict``, is a ValueError that names the file.
+    """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such {kind} file: {path}")
     try:
         return from_dict(json.loads(path.read_text()))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -103,12 +167,10 @@ def save_tree(tree: KinematicTree, path) -> None:
 
 def bundled_tree(name: str) -> KinematicTree:
     """Load one of the trees shipped with the package ('smpl_24', 'smal_33')."""
-    ref = resources.files("posekit") / "trees" / f"{name}.json"
-    try:
-        text = ref.read_text()
-    except FileNotFoundError:
-        raise ValueError(f"no bundled tree named {name!r}") from None
-    return KinematicTree.from_dict(json.loads(text))
+    path = Path(__file__).with_name("trees") / f"{name}.json"
+    if not path.is_file():
+        raise ValueError(f"no bundled tree named {name!r}")
+    return load_tree(path)
 
 
 @dataclass
@@ -150,22 +212,15 @@ class KeypointSet:
         """Keypoints from their JSON object, whose ``joints`` is a list of
         ``[x, y, z]`` number triples. Any other layout is a ValueError."""
         joints = data.get("joints") if isinstance(data, dict) else None
-        if not (
-            isinstance(joints, list)
-            and all(
-                isinstance(row, list) and len(row) == 3 and all(map(_is_number, row))
-                for row in joints
-            )
+        if not isinstance(joints, list) or not all(
+            isinstance(row, list) and len(row) == 3 and all(map(_is_number, row))
+            for row in joints
         ):
             raise ValueError(
                 "keypoints must be a JSON object whose 'joints' is a list of "
                 "[x, y, z] number triples"
             )
         return cls(joints)
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def load_keypoints(path) -> KeypointSet:
@@ -208,9 +263,10 @@ def load_regressor(path, shape: tuple[int, int] | None = None) -> JointRegressor
     """Read a joint regressor from CSV.
 
     Two layouts are accepted: a dense J x N numeric grid, or a sparse
-    triplet file whose first line is the header ``row,col,weight``. For the
-    sparse layout the matrix shape is taken from ``shape`` when given,
-    otherwise from the largest indices present.
+    triplet file whose first line is the header ``row,col,weight``, with
+    nonnegative integer ``row`` and ``col``. For the sparse layout the
+    matrix shape is taken from ``shape`` when given, otherwise from the
+    largest indices present.
     """
     path = Path(path)
     if not path.is_file():
@@ -225,6 +281,8 @@ def load_regressor(path, shape: tuple[int, int] | None = None) -> JointRegressor
             triplets = [(int(r[0]), int(r[1]), float(r[2])) for r in rows[1:]]
             if not triplets:
                 raise ValueError("no triplets")
+            if min(min(t[:2]) for t in triplets) < 0:
+                raise ValueError("row and col must be nonnegative")
             if shape is None:
                 shape = (
                     max(t[0] for t in triplets) + 1,

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 
 @dataclass
@@ -174,6 +173,8 @@ def chamfer(a, b) -> float:
     vertex of ``b``, plus the same with the roles swapped. Correspondence
     free, so vertex counts may differ. Accepts meshes or bare (n, 3) arrays.
     """
+    from scipy.spatial import cKDTree  # here, so only chamfer pays for loading scipy
+
     pa, pb = _as_points(a), _as_points(b)
     if pa.shape[0] == 0 or pb.shape[0] == 0:
         raise ValueError("chamfer needs nonempty vertex sets")

@@ -2,21 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
+from .kinematics import _settings
 from .mesh import Mesh, edge_lengths
-
-
-_FIELD_OF_LOSS = {
-    "keypoint": "lambda_k",
-    "skin": "lambda_skin",
-    "cycle": "lambda_cycle",
-    "self": "lambda_self",
-    "edge": "lambda_edge",
-}
 
 
 @dataclass
@@ -32,6 +24,14 @@ class LossWeights:
     lambda_cycle: float = 1.0
     lambda_self: float = 1.0
     lambda_edge: float = 0.0005
+    # the loss names, keys of LossBreakdown.to_dict, that from_dict also reads
+    aliases = {
+        "keypoint": "lambda_k",
+        "skin": "lambda_skin",
+        "cycle": "lambda_cycle",
+        "self": "lambda_self",
+        "edge": "lambda_edge",
+    }
 
     @classmethod
     def from_dict(cls, data: dict) -> "LossWeights":
@@ -41,21 +41,7 @@ class LossWeights:
         must be a finite, nonnegative number (not a bool): the solver weighs
         each term's residuals by the square root of its weight.
         """
-        bad = set(data) - set(cls.__dataclass_fields__) - set(_FIELD_OF_LOSS)
-        if bad:
-            raise ValueError(f"unknown loss weight keys: {sorted(bad)}")
-        kwargs = {}
-        for key, value in data.items():
-            name = _FIELD_OF_LOSS.get(key, key)
-            if name in kwargs:
-                raise ValueError(f"loss weight {name} given twice")
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number and np.isfinite(value) and value >= 0):
-                raise ValueError(
-                    f"loss_weights.{key} must be a finite nonnegative number, not {value!r}"
-                )
-            kwargs[name] = value
-        return cls(**kwargs)
+        return _settings(cls, "loss_weights", data)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -16,6 +16,8 @@ from .kinematics import (
     KinematicTree,
     TwistAngles,
     BoneTransformSet,
+    _from_json_file,
+    _settings,
     forward_kinematics,
     load_keypoints,
     load_tree,
@@ -63,45 +65,8 @@ class RefinementSettings:
 @dataclass
 class GmmSettings:
     temperature: float = 2.0
-    radii: np.ndarray | None = None
+    radii: list[float] | np.ndarray | None = None
     optimize_radii: bool = False
-
-    def __post_init__(self):
-        if self.radii is not None:
-            self.radii = np.asarray(self.radii, dtype=np.float64)
-
-
-_JSON_TYPES = {
-    "bool": ((bool,), "true or false"),
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a finite number"),
-    "np.ndarray | None": ((list, type(None)), "a list of numbers or null"),
-}
-
-
-def _settings(cls, block: str, data: dict):
-    """Build a settings dataclass from a config block.
-
-    Rejects unknown keys, a value of another JSON type than its field's
-    (``"false"`` for a bool, ``1.5`` for an int, a non-finite float), a
-    negative ``max_iters``, ``tolerance`` or ``ridge`` and a ``step_size``
-    that is not positive.
-    """
-    fields = cls.__dataclass_fields__
-    bad = set(data) - set(fields)
-    if bad:
-        raise ValueError(f"unknown {block} keys: {sorted(bad)}")
-    for key, value in data.items():
-        types, wanted = _JSON_TYPES[fields[key].type]
-        got = type(value)
-        if got not in types or (got is float and not np.isfinite(value)):
-            raise ValueError(f"{block}.{key} must be {wanted}, not {value!r}")
-    for key in ("max_iters", "tolerance", "ridge"):
-        if data.get(key, 0) < 0:
-            raise ValueError(f"{block}.{key} must be nonnegative")
-    if not data.get("step_size", 1.0) > 0:
-        raise ValueError(f"{block}.step_size must be positive")
-    return cls(**data)
 
 
 @dataclass
@@ -118,9 +83,6 @@ class TransferConfig:
     def from_dict(cls, data: dict, base_dir=None) -> "TransferConfig":
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, not a {type(data).__name__}")
-        for block in ("loss_weights", "gmm", "optimizer", "refinement"):
-            if not isinstance(data.get(block, {}), dict):
-                raise ValueError(f"{block} must be a JSON object, not {data[block]!r}")
         base = Path(base_dir) if base_dir is not None else Path(".")
         tree_spec = data.get("tree")
         if tree_spec is None:
@@ -136,24 +98,16 @@ class TransferConfig:
                     tree = bundled_tree(str(tree_spec))
                 except ValueError:
                     raise FileNotFoundError(f"no such tree file: {candidate}") from None
-        cfg = cls(tree=tree)
-        if "loss_weights" in data:
-            cfg.loss_weights = LossWeights.from_dict(data["loss_weights"])
-        for block, kind in (
-            ("gmm", GmmSettings),
-            ("optimizer", OptimizerSettings),
-            ("refinement", RefinementSettings),
-        ):
-            if block in data:
-                setattr(cfg, block, _settings(kind, block, data[block]))
-        return cfg
+        blocks = {
+            f.name: _settings(f.default_factory, f.name, data[f.name])
+            for f in fields(cls)
+            if f.name != "tree" and f.name in data
+        }
+        return cls(tree, **blocks)
 
     @classmethod
     def from_file(cls, path) -> "TransferConfig":
-        path = Path(path)
-        if not path.is_file():
-            raise FileNotFoundError(f"no such config file: {path}")
-        return cls.from_dict(json.loads(path.read_text()), base_dir=path.parent)
+        return cls.from_dict(_from_json_file(path, "config"), base_dir=Path(path).parent)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -863,9 +817,7 @@ def load_manifest(path) -> dict:
     empty, ``.`` or ``..``). Any other layout is a ValueError.
     """
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"no such manifest: {path}")
-    data = json.loads(path.read_text())
+    data = _from_json_file(path, "manifest")
     base = path.parent
 
     def check(ok, what):

@@ -19,7 +19,7 @@ from posekit import (
 )
 from posekit.cli import main
 from test_kinematics import _random_pose
-from test_transfer import manifest_fixture
+from test_transfer import HUGE_INT, manifest_fixture
 
 
 @pytest.fixture
@@ -185,6 +185,14 @@ def test_transfer_config_typo_exits_1(puppet_files, capsys):
         ({"loss_weights": 5}, "loss_weights must be a JSON object, not 5"),
         ({"optimizer": {"tolerance": -1.0}}, "optimizer.tolerance must be nonnegative"),
         ({"refinement": {"ridge": -1.0}}, "refinement.ridge must be nonnegative"),
+        ({"optimizer": {"tolerance": HUGE_INT}}, "optimizer.tolerance must be a finite number"),
+        ({"optimizer": {"step_size": HUGE_INT}}, "optimizer.step_size must be a finite number"),
+        ({"refinement": {"ridge": HUGE_INT}}, "refinement.ridge must be a finite number"),
+        ({"loss_weights": {"edge": HUGE_INT}}, "loss_weights.edge must be a finite nonnegative"),
+        ({"gmm": {"temperature": HUGE_INT}}, "gmm.temperature must be a finite number"),
+        ({"gmm": {"radii": ["0.5", 0.5]}}, "gmm.radii must be finite and positive"),
+        ({"gmm": {"radii": [True, 0.5]}}, "gmm.radii must be finite and positive"),
+        ({"gmm": {"radii": [HUGE_INT, 0.5]}}, "gmm.radii must be finite and positive"),
     ],
 )
 def test_transfer_bad_config_value_exits_1(puppet_files, capsys, block, message):
@@ -360,8 +368,12 @@ def test_transfer_keypoints_that_are_not_an_object_exit_1(puppet_files, capsys):
             "tree 'parents' must be a list of integers",
         ),
         ({"parents": [-1, 0, 1]}, "tree must be a JSON object with 'parents' and 'names'"),
+        (
+            {"parents": [-1, 0, HUGE_INT], "names": ["a", "b", "c"]},
+            "tree 'parents' must be a list of integers",
+        ),
     ],
-    ids=["not_an_object", "names_not_a_list", "fractional_parent", "no_names"],
+    ids=["not_an_object", "names_not_a_list", "fractional_parent", "no_names", "huge_parent"],
 )
 def test_ik_check_malformed_tree_exits_1(tmp_path, capsys, tree, message):
     kp = _random_pose(KinematicTree([-1, 0, 1]), np.random.default_rng(2))
@@ -537,6 +549,58 @@ def test_batch_malformed_manifest_exits_1(tmp_path, capsys, where, value, messag
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ") and message in line
     assert not (tmp_path / "deep").exists() and not (tmp_path / "esc").exists()
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("cfg.json", '{"tree": {"parents": [-1, 0, 1]', "Expecting ',' delimiter"),
+        ("manifest.json", '{"identities": {"a": ', "Expecting value"),
+        (
+            "a_rest.json",
+            f'{{"joints": [[0, 0, {HUGE_INT}], [0, 1, 0], [0, 2, 0]]}}',
+            "keypoints must be a JSON object whose 'joints' is a list of",
+        ),
+        ("cfg.json", "[" * 100_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["truncated_config", "truncated_manifest", "huge_keypoint_coordinate", "deep_config"],
+)
+def test_batch_malformed_json_file_exits_1(tmp_path, capsys, name, text, message):
+    path, a = manifest_fixture(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"tree": a.tree.to_dict()}))
+    (tmp_path / name).write_text(text)
+    code = main([
+        "batch",
+        "--manifest", str(path),
+        "--config", str(tmp_path / "cfg.json"),
+        "--out", str(tmp_path / "runs"),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {tmp_path / name}: {message}")
+    assert not (tmp_path / "runs").exists()
+
+
+def _child_env():
+    # the child interpreter imports the same posekit as this test run,
+    # which pytest may have put on sys.path without an install
+    package_root = str(Path(posekit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only chamfer (``eval``) uses scipy.spatial, so no other command loads it
+    code = "import sys, posekit.cli; print('scipy.spatial' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
 def test_console_script_runs(puppet_files):

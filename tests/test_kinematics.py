@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,6 +190,17 @@ def test_load_regressor_sparse(tmp_path):
     # shape inferred from the largest indices when not given
     r2 = load_regressor(p)
     assert r2.matrix.shape == (2, 2)
+
+
+def test_load_regressor_sparse_rejects_negative_indices(tmp_path):
+    # numpy would wrap -1 around to the last column and load the pair below
+    # as a weight of 1.0 on column 5
+    p = tmp_path / "r.csv"
+    for text in ("row,col,weight\n0,5,0.5\n0,-1,0.5\n", "row,col,weight\n0,0,0.5\n-1,0,0.5\n"):
+        p.write_text(text)
+        for shape in (None, (1, 6)):
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: .*nonnegative"):
+                load_regressor(p, shape)
 
 
 # -- losses on keypoints --

@@ -990,6 +990,10 @@ def test_config_rejects_unknown_block_keys():
             TransferConfig.from_dict({"tree": "smpl_24", block: {"max_iter": 3}})
 
 
+# a JSON integer that no float64 holds
+HUGE_INT = int("9" * 400)
+
+
 @pytest.mark.parametrize(
     "block, value, message",
     [
@@ -1016,6 +1020,14 @@ def test_config_rejects_unknown_block_keys():
         ({"refinement": "on"}, "refinement", "a JSON object"),
         ({"optimizer": {"tolerance": -1.0}}, "optimizer.tolerance", "nonnegative"),
         ({"refinement": {"ridge": -1.0}}, "refinement.ridge", "nonnegative"),
+        ({"optimizer": {"tolerance": HUGE_INT}}, "optimizer.tolerance", "a finite number"),
+        ({"optimizer": {"step_size": HUGE_INT}}, "optimizer.step_size", "a finite number"),
+        ({"refinement": {"ridge": HUGE_INT}}, "refinement.ridge", "a finite number"),
+        ({"loss_weights": {"edge": HUGE_INT}}, "loss_weights.edge", "finite nonnegative"),
+        ({"gmm": {"temperature": HUGE_INT}}, "gmm.temperature", "a finite number"),
+        ({"gmm": {"radii": ["0.5", 0.5]}}, "gmm.radii", "finite and positive"),
+        ({"gmm": {"radii": [True, 0.5]}}, "gmm.radii", "finite and positive"),
+        ({"gmm": {"radii": [HUGE_INT, 0.5]}}, "gmm.radii", "finite and positive"),
     ],
 )
 def test_config_rejects_mistyped_and_out_of_range_values(block, value, message):
