@@ -157,27 +157,19 @@ def _cmd_ik_check(args) -> int:
     tree = _load_tree_arg(args.tree)
     source = load_keypoints(args.source_kp)
     target = load_keypoints(args.target_kp)
-    twists = TwistAngles.zeros(tree.n_bones)
-
-    def posed_dirs(tgt):
-        rel = scalable_ik(source, tgt, twists, tree)
-        tf = forward_kinematics(source, rel, tree)
-        posed = KeypointSet(tf.posed_joints)
-        d_posed = posed.bone_vectors(tree)
-        d_target = tgt.bone_vectors(tree)
-        num = (d_posed * d_target).sum(axis=1)
-        den = (d_posed**2).sum(axis=1) ** 0.5 * (d_target**2).sum(axis=1) ** 0.5
-        return rel, num / den
-
-    rel, dots = posed_dirs(target)
-    scaled = KeypointSet(
-        target.joints[0] + 2.0 * (target.joints - target.joints[0])
-    )
-    rel_scaled, _ = posed_dirs(scaled)
+    # one stacked IK call: the target, and the target scaled by 2 about its root
+    root = target.joints[0]
+    targets = KeypointSet([target.joints, root + 2.0 * (target.joints - root)])
+    rel = scalable_ik(source, targets, TwistAngles.zeros(tree.n_bones), tree)
+    posed = KeypointSet(forward_kinematics(source, rel[0], tree).posed_joints)
+    d_posed, d_target = posed.bone_vectors(tree), target.bone_vectors(tree)
+    num = (d_posed * d_target).sum(axis=1)
+    den = (d_posed**2).sum(axis=1) ** 0.5 * (d_target**2).sum(axis=1) ** 0.5
+    dots = num / den
     payload = {
         "unit_dot_min": float(dots.min()),
         "max_direction_error": float((1.0 - dots).max()),
-        "scale_invariance_delta": float(abs(rel - rel_scaled).max()),
+        "scale_invariance_delta": float(abs(rel[0] - rel[1]).max()),
     }
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK

@@ -16,6 +16,7 @@ import numpy as np
 
 EPS_LENGTH = 1e-9
 EPS_PARALLEL = 1e-8
+_EYE = np.eye(3)
 
 
 @dataclass
@@ -175,20 +176,21 @@ def bundled_tree(name: str) -> KinematicTree:
 
 @dataclass
 class KeypointSet:
-    """Joint positions, one 3D point per joint of some tree."""
+    """Joint positions, one 3D point per joint of some tree: a (J, 3) array,
+    or a (B, J, 3) stack of B such sets (``scalable_ik`` targets)."""
 
     joints: np.ndarray
 
     def __post_init__(self):
         self.joints = np.asarray(self.joints, dtype=np.float64)
-        if self.joints.ndim != 2 or self.joints.shape[1] != 3:
-            raise ValueError("joints must be a (J, 3) array")
+        if self.joints.ndim not in (2, 3) or self.joints.shape[-1] != 3:
+            raise ValueError("joints must be a (J, 3) array or a (B, J, 3) stack")
         if not np.isfinite(self.joints).all():
             raise ValueError("joint coordinates must be finite")
 
     @property
     def n_joints(self) -> int:
-        return int(self.joints.shape[0])
+        return int(self.joints.shape[-2])
 
     def validate_for(self, tree: KinematicTree):
         if self.n_joints != tree.n_joints:
@@ -197,12 +199,12 @@ class KeypointSet:
                 f"({tree.n_joints} joints)"
             )
         vecs = self.bone_vectors(tree)
-        if (np.linalg.norm(vecs, axis=1) < EPS_LENGTH).any():
+        if (np.linalg.norm(vecs, axis=-1) < EPS_LENGTH).any():
             raise ValueError("degenerate bone (zero-length bone vector)")
 
     def bone_vectors(self, tree: KinematicTree) -> np.ndarray:
         """(K, 3) array, bone k-1 runs from joint parents[k] to joint k."""
-        return self.joints[1:] - self.joints[tree.parents[1:]]
+        return self.joints[..., 1:, :] - self.joints[..., tree.parents[1:], :]
 
     def to_dict(self) -> dict:
         return {"joints": [[float(c) for c in row] for row in self.joints]}
@@ -300,14 +302,15 @@ def load_regressor(path, shape: tuple[int, int] | None = None) -> JointRegressor
 
 @dataclass
 class TwistAngles:
-    """One twist angle per bone, wrapped to (-pi, pi]."""
+    """One twist angle per bone, wrapped to (-pi, pi]: a (K,) array, or a
+    (B, K) stack of twist rows."""
 
     phi: np.ndarray
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=np.float64)
-        if self.phi.ndim != 1:
-            raise ValueError("phi must be a flat array of bone angles")
+        if self.phi.ndim not in (1, 2):
+            raise ValueError("phi must be a flat array of bone angles or a stack of them")
         if not np.isfinite(self.phi).all():
             raise ValueError("twist angles must be finite")
         if (self.phi <= -np.pi).any() or (self.phi > np.pi).any():
@@ -332,7 +335,8 @@ class BoneTransformSet:
     ``rotations[k-1] @ x + translations[k-1]`` carries rest-pose points
     rigidly attached to bone k into the posed configuration; it maps the
     rest position of the bone's parent joint to its posed position, and the
-    rest position of joint k to ``posed_joints[k]``.
+    rest position of joint k to ``posed_joints[k]``. A stack of B sets has
+    a leading B axis on every array, and ``tf[b]`` is set b.
     """
 
     relative: np.ndarray
@@ -341,21 +345,20 @@ class BoneTransformSet:
     posed_joints: np.ndarray
 
     def __post_init__(self):
-        self.relative = np.asarray(self.relative, dtype=np.float64)
-        self.rotations = np.asarray(self.rotations, dtype=np.float64)
-        self.translations = np.asarray(self.translations, dtype=np.float64)
-        self.posed_joints = np.asarray(self.posed_joints, dtype=np.float64)
+        for f in fields(self):
+            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=np.float64))
 
     @property
     def n_bones(self) -> int:
-        return int(self.rotations.shape[0])
+        return int(self.rotations.shape[-3])
+
+    def __getitem__(self, index) -> "BoneTransformSet":
+        return BoneTransformSet(*(getattr(self, f.name)[index] for f in fields(self)))
 
     def validate(self, tol: float = 1e-9):
         for name in ("relative", "rotations"):
             mats = getattr(self, name)
-            err = np.abs(
-                np.einsum("kij,kil->kjl", mats, mats) - np.eye(3)
-            ).max()
+            err = np.abs(np.einsum("...ij,...il->...jl", mats, mats) - _EYE).max()
             if err > tol:
                 raise ValueError(f"{name} rotations are not orthonormal ({err:.3e})")
 
@@ -365,27 +368,23 @@ class BoneTransformSet:
 
     @classmethod
     def identity(cls, rest: KeypointSet, tree: KinematicTree) -> "BoneTransformSet":
-        k = tree.n_bones
-        return cls(
-            np.tile(np.eye(3), (k, 1, 1)),
-            np.tile(np.eye(3), (k, 1, 1)),
-            np.zeros((k, 3)),
-            rest.joints.copy(),
-        )
+        eye = np.tile(_EYE, (tree.n_bones, 1, 1))
+        return cls(eye, eye.copy(), np.zeros((tree.n_bones, 3)), rest.joints.copy())
 
 
 def regress_keypoints(mesh, regressor: JointRegressor) -> KeypointSet:
     """Joints as convex combinations of mesh vertices.
 
-    ``mesh`` may be a Mesh or a bare (N, 3) vertex array.
+    ``mesh`` may be a Mesh, a bare (N, 3) vertex array, or a (B, N, 3)
+    stack of them, which gives a stack of keypoint sets.
     """
     verts = getattr(mesh, "vertices", None)
     if verts is None:
         verts = np.asarray(mesh, dtype=np.float64)
-    if regressor.n_vertices != verts.shape[0]:
+    if regressor.n_vertices != verts.shape[-2]:
         raise ValueError(
             f"regressor expects {regressor.n_vertices} vertices, "
-            f"mesh has {verts.shape[0]}"
+            f"mesh has {verts.shape[-2]}"
         )
     return KeypointSet(regressor.matrix @ verts)
 
@@ -397,25 +396,40 @@ def keypoint_loss(pred: KeypointSet, gt: KeypointSet) -> float:
     return float(np.linalg.norm(pred.joints - gt.joints, axis=1).sum())
 
 
+# skew(v) picks v[_SKEW_INDEX] and signs it by _SKEW_SIGN; a x b picks
+# a[_NEXT] * b[_LAST] - a[_LAST] * b[_NEXT]
+_SKEW_INDEX = np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
+_SKEW_SIGN = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrix of a 3-vector."""
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    """Cross-product matrix of a 3-vector; (..., 3, 3) of a (..., 3) stack."""
+    return np.asarray(v, dtype=np.float64)[..., _SKEW_INDEX] * _SKEW_SIGN
 
 
-def _fallback_axis(u: np.ndarray) -> np.ndarray:
-    # Perpendicular axis for the antiparallel case: cross u with the basis
-    # vector it is least aligned with, first index wins ties.
-    idx = int(np.argmin(np.abs(u)))
-    e = np.zeros(3)
-    e[idx] = 1.0
-    axis = np.cross(u, e)
-    return axis / np.linalg.norm(axis)
+# Per-row products of (..., 3) stacks: a matmul rounds as np.dot of one row
+# does, and np.cross costs more per call than its arithmetic.
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., _NEXT] * b[..., _LAST] - a[..., _LAST] * b[..., _NEXT]
+
+
+def _unit(v, what: str) -> np.ndarray:
+    v = np.asarray(v, dtype=np.float64)
+    norm = np.sqrt(_dot(v, v))[..., None]
+    if (norm < EPS_LENGTH).any():
+        raise ValueError(f"{what}: degenerate input vector")
+    return v / norm
+
+
+def _rodrigues(a: np.ndarray, sin, cos) -> np.ndarray:
+    """I + sin a + (1 - cos) a @ a for a stack of skew matrices ``a``."""
+    sin, cos = (np.asarray(c)[..., None, None] for c in (sin, cos))
+    return _EYE + sin * a + (1.0 - cos) * (a @ a)
 
 
 def swing_rotation(s, t) -> np.ndarray:
@@ -423,60 +437,52 @@ def swing_rotation(s, t) -> np.ndarray:
 
     Parameters
     ----------
-    s, t : array_like, shape (3,)
+    s, t : array_like, shape (3,) or stacks (..., 3) that broadcast
         Bone vectors; only their directions matter. Norms below 1e-9 are
         rejected.
 
     Returns
     -------
-    (3, 3) rotation matrix R with R @ (s/|s|) == t/|t|.
+    (3, 3) rotation matrix R with R @ (s/|s|) == t/|t|; one per row of
+    stacked inputs, (..., 3, 3).
 
     Rodrigues form about the normalized cross product n = (s x t)/|s x t|.
     When |s x t|/(|s||t|) < 1e-8 the axis is unusable: the identity is
     returned for the parallel side, and for the antiparallel side a half
     turn about a deterministic axis perpendicular to s.
     """
-    s = np.asarray(s, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    ns = np.linalg.norm(s)
-    nt = np.linalg.norm(t)
-    if ns < EPS_LENGTH or nt < EPS_LENGTH:
-        raise ValueError("swing_rotation: degenerate input vector")
-    u = s / ns
-    w = t / nt
-    c = np.cross(u, w)
-    sin_a = np.linalg.norm(c)
-    cos_a = float(np.dot(u, w))
-    if sin_a < EPS_PARALLEL:
-        if cos_a > 0.0:
-            return np.eye(3)
-        a = skew(_fallback_axis(u))
-        return np.eye(3) + 2.0 * (a @ a)
-    n = c / sin_a
-    a = skew(n)
-    return np.eye(3) + sin_a * a + (1.0 - cos_a) * (a @ a)
+    u, w = _unit(s, "swing_rotation"), _unit(t, "swing_rotation")
+    c = _cross(u, w)
+    sin_a = np.sqrt(_dot(c, c))
+    cos_a = _dot(u, w)
+    fold = sin_a < EPS_PARALLEL
+    axis = c / np.where(fold, 1.0, sin_a)[..., None]
+    if fold.any():
+        # a fold turns by 0 (parallel) or pi (antiparallel) about u crossed
+        # with the basis vector it is least aligned with, first index wins ties
+        perpendicular = _unit(_cross(u, _EYE[np.argmin(np.abs(u), axis=-1)]), "swing_rotation")
+        axis = np.where(fold[..., None], perpendicular, axis)
+        sin_a = np.where(fold, 0.0, sin_a)
+        cos_a = np.where(fold, np.where(cos_a > 0.0, 1.0, -1.0), cos_a)
+    return _rodrigues(skew(axis), sin_a, cos_a)
 
 
-def twist_rotation(s, phi: float) -> np.ndarray:
+def twist_rotation(s, phi) -> np.ndarray:
     """Rotation by angle phi about the bone direction s.
 
     Parameters
     ----------
-    s : array_like, shape (3,)
+    s : array_like, shape (3,) or a stack (..., 3)
         Rotation axis; normalized internally, norm below 1e-9 rejected.
-    phi : float
+    phi : float, or an array that broadcasts with the rows of ``s``
         Signed angle in radians.
 
     Returns
     -------
-    (3, 3) rotation matrix fixing s: R @ s == s.
+    (3, 3) rotation matrix fixing s: R @ s == s; one per row of stacked
+    inputs, (..., 3, 3).
     """
-    s = np.asarray(s, dtype=np.float64)
-    ns = np.linalg.norm(s)
-    if ns < EPS_LENGTH:
-        raise ValueError("twist_rotation: degenerate axis")
-    a = skew(s / ns)
-    return np.eye(3) + np.sin(phi) * a + (1.0 - np.cos(phi)) * (a @ a)
+    return _rodrigues(skew(_unit(s, "twist_rotation")), np.sin(phi), np.cos(phi))
 
 
 def compose_relative(swing: np.ndarray, twist: np.ndarray) -> np.ndarray:
@@ -484,42 +490,35 @@ def compose_relative(swing: np.ndarray, twist: np.ndarray) -> np.ndarray:
     return swing @ twist
 
 
-def _orthonormal_frame(b1: np.ndarray, b2: np.ndarray) -> np.ndarray | None:
-    u1 = b1 / np.linalg.norm(b1)
-    w = b2 - np.dot(b2, u1) * u1
-    nw = np.linalg.norm(w)
-    if nw < EPS_PARALLEL * np.linalg.norm(b2):
-        return None
-    u2 = w / nw
-    return np.column_stack([u1, u2, np.cross(u1, u2)])
+def _orthonormal_frame(b1: np.ndarray, b2: np.ndarray):
+    """Frames (..., 3, 3) of stacked bone pairs, and whether each is usable."""
+    u1 = b1 / np.sqrt(_dot(b1, b1))[..., None]
+    w = b2 - _dot(b2, u1)[..., None] * u1
+    nw = np.sqrt(_dot(w, w))
+    ok = ~(nw < EPS_PARALLEL * np.sqrt(_dot(b2, b2)))
+    u2 = w / np.where(ok, nw, 1.0)[..., None]
+    return np.stack([u1, u2, _cross(u1, u2)], axis=-1), ok
 
 
 def root_orientation(
     source: KeypointSet, target: KeypointSet, tree: KinematicTree
 ) -> np.ndarray:
-    """Rotation aligning the source root frame to the target root frame.
+    """Rotation aligning the source root frame to the target root frame;
+    (B, 3, 3), one per target, for a stack of targets.
 
     The frame is built by orthonormalizing the root's first two child-bone
     directions. With fewer than two children, or with near-collinear child
     bones on either side, it degrades to the minimal swing of the first
     child bone.
     """
-    kids = tree.children(0)
-    if len(kids) >= 2:
-        fs = _orthonormal_frame(
-            source.joints[kids[0]] - source.joints[0],
-            source.joints[kids[1]] - source.joints[0],
-        )
-        ft = _orthonormal_frame(
-            target.joints[kids[0]] - target.joints[0],
-            target.joints[kids[1]] - target.joints[0],
-        )
-        if fs is not None and ft is not None:
-            return ft @ fs.T
-    j = kids[0]
-    return swing_rotation(
-        source.joints[j] - source.joints[0], target.joints[j] - target.joints[0]
-    )
+    kids = [k - 1 for k in tree.children(0)[:2]]  # bone k - 1 runs from the root to k
+    s, t = source.bone_vectors(tree)[kids], target.bone_vectors(tree)[..., kids, :]
+    swing = swing_rotation(s[0], t[..., 0, :])
+    if len(kids) < 2:
+        return swing
+    fs, ok_s = _orthonormal_frame(s[0], s[1])
+    ft, ok_t = _orthonormal_frame(t[..., 0, :], t[..., 1, :])
+    return np.where((ok_s & ok_t)[..., None, None], ft @ fs.T, swing)
 
 
 def scalable_ik(
@@ -539,28 +538,31 @@ def scalable_ik(
 
     Returns a (K, 3, 3) array in the convention of ``forward_kinematics``:
     the root orientation is folded into the rotations of bones hanging off
-    the root, so FK starting from identity reproduces the pose.
+    the root, so FK starting from identity reproduces the pose. Stacked
+    twists, (B, K), or a stack of targets, (B, J, 3) joints, give a
+    (B, K, 3, 3) stack whose row b is the call on twist row b and target b;
+    a single twist row or target serves every row.
     """
     source.validate_for(tree)
     target.validate_for(tree)
     n = tree.n_joints
     phi = twists.phi
-    if phi.shape[0] != tree.n_bones:
+    if phi.shape[-1] != tree.n_bones:
         raise ValueError("twist count does not match bone count")
-    world = np.empty((n, 3, 3))
-    world[0] = root_orientation(source, target, tree)
-    eye = np.eye(3)
-    relative = np.empty((n - 1, 3, 3))
+    world = np.empty(np.broadcast_shapes(phi.shape[:-1], target.joints.shape[:-2]) + (n, 3, 3))
+    world[..., 0, :, :] = root_orientation(source, target, tree)
+    bones, aims = source.bone_vectors(tree), target.bone_vectors(tree)
     for j in range(1, n):
         p = int(tree.parents[j])
-        s = source.joints[j] - source.joints[p]
-        t = target.joints[j] - target.joints[p]
-        cur = world[p] @ s
-        update = compose_relative(swing_rotation(cur, t), twist_rotation(cur, phi[j - 1]))
-        world[j] = update @ world[p]
-        base = eye if p == 0 else world[p]
-        relative[j - 1] = base.T @ world[j]
-    return relative
+        cur = world[..., p, :, :] @ bones[j - 1]
+        update = compose_relative(
+            swing_rotation(cur, aims[..., j - 1, :]), twist_rotation(cur, phi[..., j - 1])
+        )
+        world[..., j, :, :] = update @ world[..., p, :, :]
+    # the root's own orientation stays folded into the bones off the root
+    base = world[..., tree.parents[1:], :, :]
+    base[..., tree.parents[1:] == 0, :, :] = _EYE
+    return base.swapaxes(-1, -2) @ world[..., 1:, :, :]
 
 
 def forward_kinematics(
@@ -575,26 +577,25 @@ def forward_kinematics(
     ``rotations[k-1]`` (identity above the root), and each posed joint is
     its posed parent plus the rotated rest offset. Bone lengths are
     preserved by construction. The posed root sits at ``root_position``
-    when given, else at the rest root.
+    when given, else at the rest root. A (B, K, 3, 3) stack of rotations,
+    with one root position or one per row, (B, 3), gives a stack of B
+    transform sets.
     """
     rest.validate_for(tree)
     rotations = np.asarray(rotations, dtype=np.float64)
     n = tree.n_joints
-    if rotations.shape != (n - 1, 3, 3):
+    if rotations.shape[-3:] != (n - 1, 3, 3):
         raise ValueError("need one 3x3 rotation per bone")
-    glob = np.empty((n, 3, 3))
-    glob[0] = np.eye(3)
-    posed = np.empty((n, 3))
-    posed[0] = rest.joints[0] if root_position is None else root_position
-    trans = np.empty((n - 1, 3))
+    batch = rotations.shape[:-3]
+    glob = np.empty(batch + (n, 3, 3))
+    glob[..., 0, :, :] = _EYE
+    posed = np.empty(batch + (n, 3))
+    posed[..., 0, :] = rest.joints[0] if root_position is None else root_position
+    trans = np.empty(batch + (n - 1, 3))
+    bones = rest.bone_vectors(tree)
     for j in range(1, n):
         p = int(tree.parents[j])
-        glob[j] = glob[p] @ rotations[j - 1]
-        posed[j] = posed[p] + glob[j] @ (rest.joints[j] - rest.joints[p])
-        trans[j - 1] = posed[p] - glob[j] @ rest.joints[p]
-    return BoneTransformSet(
-        relative=rotations.copy(),
-        rotations=glob[1:].copy(),
-        translations=trans,
-        posed_joints=posed,
-    )
+        glob[..., j, :, :] = glob[..., p, :, :] @ rotations[..., j - 1, :, :]
+        posed[..., j, :] = posed[..., p, :] + glob[..., j, :, :] @ bones[j - 1]
+        trans[..., j - 1, :] = posed[..., p, :] - glob[..., j, :, :] @ rest.joints[p]
+    return BoneTransformSet(rotations.copy(), glob[..., 1:, :, :].copy(), trans, posed)

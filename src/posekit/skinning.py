@@ -66,8 +66,11 @@ class SkinningMatrix:
 
 def save_weights(weights: SkinningMatrix, path) -> None:
     """Dense CSV, one row per vertex. Full float precision."""
-    lines = [",".join(map(repr, row)) for row in weights.weights.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(_weights_csv(weights))
+
+
+def _weights_csv(weights: SkinningMatrix) -> str:
+    return "\n".join(",".join(map(repr, row)) for row in weights.weights.tolist()) + "\n"
 
 
 def load_weights(path) -> SkinningMatrix:

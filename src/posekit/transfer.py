@@ -35,11 +35,11 @@ from .objectives import (
 )
 from .skinning import (
     SkinningMatrix,
+    _weights_csv,
     default_radii,
     lbs_apply,
     lbs_blend,
     pseudo_weights,
-    save_weights,
 )
 
 
@@ -83,6 +83,8 @@ class TransferConfig:
     def from_dict(cls, data: dict, base_dir=None) -> "TransferConfig":
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, not a {type(data).__name__}")
+        if unknown := set(data) - {f.name for f in fields(cls)}:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         base = Path(base_dir) if base_dir is not None else Path(".")
         tree_spec = data.get("tree")
         if tree_spec is None:
@@ -254,40 +256,35 @@ def _descend(f, grad, x0, max_iters, step_size, tolerance):
     return x
 
 
-def _probe(fn, x, j):
-    """``fn`` at ``x`` moved by -h and +h along coordinate j, and 2h.
-
-    h = 1e-5 * (1 + |x_j|), the step ``numerical_gradient`` takes.
-    """
-    h = 1e-5 * (1.0 + abs(float(x[j])))
-    step = np.zeros_like(x)
-    step[j] = h
-    return fn(x - step), fn(x + step), 2.0 * h
+def _probes(x):
+    """Rows x - h_j e_j, then rows x + h_j e_j, and the widths 2 h_j, with
+    h_j = 1e-5 * (1 + |x_j|), the step ``numerical_gradient`` takes."""
+    h = 1e-5 * (1.0 + np.abs(x))
+    return np.concatenate([x - np.diag(h), x + np.diag(h)]), 2.0 * h
 
 
 def _tangents(pose, x) -> list:
-    """Central differences of ``pose(x)``, a tuple of BoneTransformSets, per
-    coordinate of ``x``.
-
-    LBS is linear in the bone transforms, so ``lbs_blend`` of a tangent set
-    is the derivative of the blended vertices along that coordinate.
+    """Central differences of ``pose`` per coordinate of ``x``, each a tuple
+    of BoneTransformSets, from one call of ``pose`` on all the probes of
+    ``x`` as rows (``_probes``). LBS is linear in the bone transforms, so
+    ``lbs_blend`` of a tangent set is the derivative of the blended vertices
+    along that coordinate.
     """
-    names = ("relative", "rotations", "translations", "posed_joints")
-    out = []
-    for j in range(x.shape[0]):
-        minus, plus, width = _probe(pose, x, j)
-        slopes = []
-        for a, b in zip(minus, plus):
-            fields = ((getattr(b, n) - getattr(a, n)) / width for n in names)
-            slopes.append(BoneTransformSet(*fields))
-        out.append(tuple(slopes))
-    return out
+    k = x.shape[0]
+    probes, widths = _probes(x)
+    slopes = []
+    for tf in pose(probes):
+        arrays = (tf.relative, tf.rotations, tf.translations, tf.posed_joints)
+        slopes.append(BoneTransformSet(*(
+            (a[k:] - a[:k]) / widths.reshape((k,) + (1,) * (a.ndim - 1)) for a in arrays
+        )))
+    return [tuple(s[j] for s in slopes) for j in range(k)]
 
 
 def _pose_bones(rest_kp, target_kp, twists, tree) -> BoneTransformSet:
-    """Bone transforms posing ``rest_kp`` onto ``target_kp``, rooted at its root."""
+    """Bone transforms posing ``rest_kp`` onto ``target_kp``, rooted at its root; stacks too."""
     rel = scalable_ik(rest_kp, target_kp, twists, tree)
-    return forward_kinematics(rest_kp, rel, tree, root_position=target_kp.joints[0])
+    return forward_kinematics(rest_kp, rel, tree, root_position=target_kp.joints[..., 0, :])
 
 
 class _Surface(NamedTuple):
@@ -314,7 +311,8 @@ class _Surface(NamedTuple):
 def _twist_objective(surfaces, pose, skinning, n_twists, lw: LossWeights, fit: str):
     """The ``_minimize`` objective of a twist solve over skinned surfaces.
 
-    ``pose(params[:n_twists])`` gives one BoneTransformSet per surface and
+    ``pose(params[:n_twists])`` gives one BoneTransformSet per surface, a
+    stack of them for a stack of twist rows (``_tangents``), and
     ``skinning(params)`` one SkinningMatrix per surface, or None to reject
     ``params``. A point where a posed edge collapses is rejected too. The
     residuals are the fit blocks (posed minus target vertices), then the
@@ -323,9 +321,9 @@ def _twist_objective(surfaces, pose, skinning, n_twists, lw: LossWeights, fit: s
     target PMD as its ``fit`` term ("self_recon" or "cycle") and the summed
     edge terms.
 
-    The twist columns of the Jacobian difference only ``pose``
-    (``_tangents``); LBS is linear in the transforms, so they are exact in
-    the vertices. Further parameters (the log radii under
+    The twist columns of the Jacobian difference only ``pose``, in one call
+    on all their probes (``_tangents``); LBS is linear in the transforms, so
+    they are exact in the vertices. Further parameters (the log radii under
     ``optimize_radii``) get central differences of the residuals.
 
     Returns the objective and a callable giving the breakdown of the last
@@ -392,11 +390,12 @@ def _twist_objective(surfaces, pose, skinning, n_twists, lw: LossWeights, fit: s
                 ]
                 fit_motion = [v for s, v in zip(surfaces, motion) if s.target is not None]
                 jac[:, m] = stack(fit_motion, rates)
+            probes, widths = _probes(params)
             for m in range(n_twists, params.shape[0]):
-                lo, hi, width = _probe(residuals, params, m)
+                lo, hi = residuals(probes[m]), residuals(probes[params.shape[0] + m])
                 if lo is None or hi is None:
                     raise DivergenceError("objective is not finite at a probe point")
-                jac[:, m] = (hi[1] - lo[1]) / width
+                jac[:, m] = (hi[1] - lo[1]) / widths[m]
             return jac
 
         return latest.total, r, jacobian
@@ -583,9 +582,9 @@ def cycle_reconstruct(
     regressor re-reads them from the intermediate surface instead. The
     Jacobian differences the two-hop map from twists to both hops' bone
     transforms (which includes the first hop's blend when a regressor reads
-    the intermediate keypoints) and is exact in the vertices. The first
-    hop does not depend on the second hop's twists, so it is computed once
-    for all of their probes.
+    the intermediate keypoints) and is exact in the vertices. It poses all
+    probes in one stacked IK/FK call per hop. The first hop does not depend
+    on the second hop's twists, so it is posed once for all of their probes.
     """
     tree = config.tree
     source_kp.validate_for(tree)
@@ -598,26 +597,22 @@ def cycle_reconstruct(
     w1 = pseudo_weights(source.vertices, source_kp, tree, gmm.temperature, gmm.radii)
     w2 = pseudo_weights(third.vertices, third_kp, tree, gmm.temperature, gmm.radii)
     n_bones = tree.n_bones
-    # the last hop 1 posed, keyed by its twists' bytes: the Jacobian's hop-2
-    # probes leave those twists bitwise equal, and their hop 1 is the same
-    hop1 = {}
 
     def pose(params):
-        """Bone transforms of both hops."""
-        key = params[:n_bones].tobytes()
-        if key not in hop1:
-            twists = TwistAngles.wrap(params[:n_bones])
-            tf1 = _pose_bones(source_kp, target_kp, twists, tree)
-            if intermediate_regressor is not None:
-                inter = lbs_blend(source.vertices, w1, tf1)
-                inter_kp = regress_keypoints(inter, intermediate_regressor)
-            else:
-                inter_kp = KeypointSet(tf1.posed_joints)
-            hop1.clear()
-            hop1[key] = tf1, inter_kp
-        tf1, inter_kp = hop1[key]
-        tf2 = _pose_bones(third_kp, inter_kp, TwistAngles.wrap(params[n_bones:]), tree)
-        return tf1, tf2
+        """Bone transforms of both hops, for one row of twists or a stack;
+        hop 1 is posed once per distinct row of its twists."""
+        hop1 = params[..., :n_bones].reshape(-1, n_bones)
+        rows, inverse = np.unique(hop1, axis=0, return_inverse=True)
+        tf1 = _pose_bones(source_kp, target_kp, TwistAngles.wrap(rows), tree)
+        if intermediate_regressor is None:
+            inter = tf1.posed_joints
+        else:
+            blends = np.stack([lbs_blend(source.vertices, w1, tf1[i]) for i in range(len(rows))])
+            inter = regress_keypoints(blends, intermediate_regressor).joints
+        inverse = inverse.reshape(params.shape[:-1])
+        inter_kp = KeypointSet(inter[inverse])
+        tf2 = _pose_bones(third_kp, inter_kp, TwistAngles.wrap(params[..., n_bones:]), tree)
+        return tf1[inverse], tf2
 
     objective, _ = _twist_objective(
         surfaces, pose, lambda params: (w1, w2), 2 * n_bones, config.loss_weights, "cycle"
@@ -770,6 +765,11 @@ def make_puppet(
 
 def save_result(result: TransferResult, out_dir, extra: dict | None = None) -> dict:
     """Persist a TransferResult; returns the summary that was written."""
+    return _save_result(result, out_dir, extra, _weights_csv(result.weights))
+
+
+def _save_result(result, out_dir, extra, weights_csv: str) -> dict:
+    """``save_result`` with the text of ``weights.csv`` given."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_mesh(result.coarse, out / "coarse.obj")
@@ -781,7 +781,7 @@ def save_result(result: TransferResult, out_dir, extra: dict | None = None) -> d
     (out / "losses.jsonl").write_text(
         "".join(json.dumps(b.to_dict(), sort_keys=True) + "\n" for b in result.losses)
     )
-    save_weights(result.weights, out / "weights.csv")
+    (out / "weights.csv").write_text(weights_csv)
     summary = {
         "iterations": len(result.losses) - 1,
         "stop_reason": result.stop_reason,
@@ -891,10 +891,12 @@ def run_manifest(manifest_path, config: TransferConfig, out_dir, jobs: int = 1) 
     """Run every pair of a manifest, one output directory per pair.
 
     Every referenced file is loaded, in manifest order, and each source
-    identity's pseudo weights are built once from its canonical pose before
-    any pair runs; then all pairs run on one pool of ``jobs`` threads. Every
-    pair runs: once the pool has drained, the first failing pair in manifest
-    order raises its error, so the outputs are the same at any ``jobs``.
+    identity's pseudo weights are built once from its canonical pose, and
+    formatted once for ``weights.csv`` unless ``optimize_radii`` varies
+    them, before any pair runs; then all pairs run on one pool of ``jobs``
+    threads. Every pair runs: once the pool has drained, the first failing
+    pair in manifest order raises its error, so the outputs are the same at
+    any ``jobs``.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, not {jobs}")
@@ -914,12 +916,13 @@ def run_manifest(manifest_path, config: TransferConfig, out_dir, jobs: int = 1) 
             weights = pseudo_weights(
                 c_mesh.vertices, c_kp, config.tree, config.gmm.temperature, config.gmm.radii
             )
-            canonicals[ident] = c_mesh, c_kp, weights
+            csv = None if config.gmm.optimize_radii else _weights_csv(weights)
+            canonicals[ident] = c_mesh, c_kp, weights, csv
 
     def run_pair(pair):
         s_mesh, s_kp = poses[pair["source"]]
         _, t_kp = poses[pair["target"]]
-        c_mesh, c_kp, weights = canonicals[pair["source"][0]]
+        c_mesh, c_kp, weights, csv = canonicals[pair["source"][0]]
         result = pose_transfer(
             s_mesh,
             s_kp,
@@ -929,7 +932,8 @@ def run_manifest(manifest_path, config: TransferConfig, out_dir, jobs: int = 1) 
             canonical_mesh=c_mesh,
             canonical_kp=c_kp,
         )
-        summary = save_result(result, Path(out_dir) / pair["name"])
+        csv = csv or _weights_csv(result.weights)  # optimize_radii: weights per pair
+        summary = _save_result(result, Path(out_dir) / pair["name"], None, csv)
         return pair["name"], summary
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -193,6 +193,8 @@ def test_transfer_config_typo_exits_1(puppet_files, capsys):
         ({"gmm": {"radii": ["0.5", 0.5]}}, "gmm.radii must be finite and positive"),
         ({"gmm": {"radii": [True, 0.5]}}, "gmm.radii must be finite and positive"),
         ({"gmm": {"radii": [HUGE_INT, 0.5]}}, "gmm.radii must be finite and positive"),
+        ({"optimiser": {"max_iters": 3}}, "unknown config keys: ['optimiser']"),
+        ({"seed": 0, "refine": {}}, "unknown config keys: ['refine', 'seed']"),
     ],
 )
 def test_transfer_bad_config_value_exits_1(puppet_files, capsys, block, message):

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from posekit import (
     EPS_PARALLEL,
@@ -570,6 +570,36 @@ def test_ik_scale_invariance_on_random_trees(pair, c):
     # product of length 1e-6, which scales the directions' rounding by 1e6;
     # the largest difference seen over 6000 draws is 5e-9
     assert np.max(np.abs(scalable_ik(src, scaled, twists, tree) - base)) <= 1e-7
+
+
+@PROPERTY
+@given(skeleton_pairs())
+def test_stacked_ik_and_fk_rows_equal_single_calls(pair):
+    tree, src, tgt, twists = pair
+    leaf, parent = tree.n_joints - 1, int(tree.parents[-1])
+    # folding the leaf back changes the root frame itself when the leaf is
+    # the root's second child, and no swing is antiparallel
+    assume(parent != 0 or tree.children(0).index(leaf) != 1)
+    folded = src.joints.copy()
+    folded[leaf] = 2.0 * src.joints[parent] - src.joints[leaf]
+    # at zero twist, every swing onto the source itself is parallel, and the
+    # swing of the folded leaf bone is antiparallel
+    targets = np.stack([tgt.joints, src.joints, folded, tgt.joints])
+    zero = np.zeros_like(twists.phi)
+    rows = TwistAngles(np.stack([twists.phi, zero, zero, TwistAngles.wrap(-twists.phi).phi]))
+    stacked = scalable_ik(src, KeypointSet(targets), rows, tree)
+    assert np.max(np.abs(stacked[1] - np.eye(3))) <= 1e-9
+    assert np.trace(stacked[2][leaf - 1]) == pytest.approx(-1.0, abs=1e-9)
+    for target in (targets, tgt.joints, src.joints, folded):
+        rel = scalable_ik(src, KeypointSet(target), rows, tree)
+        tf = forward_kinematics(src, rel, tree, root_position=target[..., 0, :])
+        for b in range(4):
+            one = KeypointSet(target if target.ndim == 2 else target[b])
+            want = scalable_ik(src, one, TwistAngles(rows.phi[b]), tree)
+            assert np.max(np.abs(rel[b] - want)) <= 1e-12
+            single = forward_kinematics(src, rel[b], tree, root_position=one.joints[0])
+            for name in ("relative", "rotations", "translations", "posed_joints"):
+                assert np.max(np.abs(getattr(tf[b], name) - getattr(single, name))) <= 1e-12
 
 
 @PROPERTY

@@ -488,11 +488,60 @@ def test_cycle_jacobian_matches_finite_differences(with_regressor):
         assert_gradient_matches(f, rng.uniform(-np.pi, np.pi, 4))
 
 
+@pytest.mark.parametrize("segments", [1, 3, 6])
+@pytest.mark.parametrize("solve", ["transfer", "cycle"])
+def test_a_jacobian_makes_one_stacked_ik_call_per_hop(monkeypatch, segments, solve):
+    a = make_puppet(segments, 0.6, 0.4, seed=0, sides=8, rings_per_segment=3)
+    b = make_puppet(segments, 0.6, 0.4, seed=7, radius=0.3, sides=8, rings_per_segment=3)
+    c = make_puppet(segments, 0.3, 0.0, seed=7, radius=0.3, sides=8, rings_per_segment=3)
+    runs = {
+        "transfer": lambda: pose_transfer(
+            a.rest_mesh, a.rest_keypoints, b.posed_keypoints, solve_nothing(a),
+            target_mesh=a.posed_mesh,
+        ),
+        "cycle": lambda: cycle_reconstruct(
+            a.rest_mesh, a.rest_keypoints, b.posed_mesh, b.posed_keypoints,
+            c.posed_mesh, c.posed_keypoints, solve_nothing(a),
+        ),
+    }
+    # K twists have 2K probes; the cycle's hop 1 poses only the 2K + 1
+    # distinct rows of its twists among the 4K probes of both hops' 2K twists
+    k = segments
+    rows = {"transfer": [2 * k], "cycle": [2 * k + 1, 4 * k]}[solve]
+    f = captured_objective(runs[solve])
+    _, _, jacobian = f(np.random.default_rng(k).uniform(-np.pi, np.pi, rows[-1] // 2))
+    real, calls = transfer.scalable_ik, []
+
+    def counted(*args):  # the twist rows of each call
+        calls.append(len(np.atleast_2d(args[2].phi)))
+        return real(*args)
+
+    monkeypatch.setattr(transfer, "scalable_ik", counted)
+    jacobian()
+    assert calls == rows
+
+
+def test_cycle_with_a_regressor_that_merges_joints_raises_degenerate_bone():
+    # joints 1 and 2 read the same vertex, so the intermediate keypoints put
+    # bone 2 at zero length; the second hop's IK must reject them
+    a = make_puppet(2, 0.6, 0.4, seed=0)
+    b = make_puppet(2, 0.6, 0.4, seed=7, radius=0.3)
+    c = make_puppet(2, 0.3, 0.0, seed=7, radius=0.3)
+    matrix = ring_regressor(a).matrix
+    matrix[2] = matrix[1]
+    with pytest.raises(ValueError, match="degenerate bone"):
+        cycle_reconstruct(
+            a.rest_mesh, a.rest_keypoints, b.posed_mesh, b.posed_keypoints,
+            c.posed_mesh, c.posed_keypoints, puppet_config(a),
+            intermediate_regressor=JointRegressor(matrix),
+        )
+
+
 def test_cycle_jacobian_reuses_the_first_hop(monkeypatch):
     # probes of the second hop's twists leave the first hop's twists as they
-    # are, so they share one posing of the first hop: 4K IK calls for the
-    # first hop's probes, 2K for the second's and at most one for their
-    # shared first hop (differencing all 2K twists through both hops is 8K)
+    # are, so they share one posing of the first hop; the Jacobian now makes
+    # one stacked call per hop, well inside the per-probe bound of 6K + 1
+    # (test_a_jacobian_makes_one_stacked_ik_call_per_hop pins the rows)
     a = make_puppet(2, 0.6, 0.4, seed=0)
     b = make_puppet(2, 0.6, 0.4, seed=7, radius=0.3)
     c = make_puppet(2, 0.3, 0.0, seed=7, radius=0.3)
@@ -795,6 +844,28 @@ def test_run_manifest_shares_identity_weights(tmp_path):
     assert w1 == w2
 
 
+@pytest.mark.parametrize("optimize_radii, formats", [(False, 1), (True, 2)])
+def test_run_manifest_formats_shared_weights_once(tmp_path, monkeypatch, optimize_radii, formats):
+    # both pairs draw on identity a, whose weights are formatted once;
+    # optimized radii give each pair its own weights, formatted per pair
+    path, a = manifest_fixture(tmp_path)
+    cfg = TransferConfig(tree=a.tree)
+    cfg.optimizer.max_iters = 2
+    cfg.gmm.optimize_radii = optimize_radii
+    real, texts = transfer._weights_csv, []
+
+    def counted(weights):
+        texts.append(real(weights))
+        return texts[-1]
+
+    monkeypatch.setattr(transfer, "_weights_csv", counted)
+    results = run_manifest(path, cfg, tmp_path / "out", jobs=2)
+    assert len(texts) == formats
+    for name, _ in results:
+        written = (tmp_path / "out" / name / "weights.csv").read_text()
+        assert written in texts
+
+
 # -- divergence surface --
 
 
@@ -906,7 +977,7 @@ def test_objective_bug_is_not_mistaken_for_a_rejected_step(monkeypatch):
     def buggy_ik(*args):
         calls.append(1)
         rel = real(*args)
-        return rel if len(calls) == 1 else rel[:-1]
+        return rel if len(calls) == 1 else rel[..., :-1, :, :]
 
     monkeypatch.setattr(transfer, "scalable_ik", buggy_ik)
     with pytest.raises(ValueError, match="one 3x3 rotation per bone"):
@@ -988,6 +1059,10 @@ def test_config_rejects_unknown_block_keys():
     for block in ("optimizer", "refinement", "gmm"):
         with pytest.raises(ValueError, match=rf"unknown {block} keys: \['max_iter'\]"):
             TransferConfig.from_dict({"tree": "smpl_24", block: {"max_iter": 3}})
+    # a misspelt block is an unknown key of the config itself
+    for block in ("optimiser", "loss_weight", "refine"):
+        with pytest.raises(ValueError, match=rf"unknown config keys: \['{block}'\]"):
+            TransferConfig.from_dict({"tree": "smpl_24", block: {"max_iters": 3}})
 
 
 # a JSON integer that no float64 holds
