@@ -426,8 +426,10 @@ def _unit(v, what: str) -> np.ndarray:
     return v / norm
 
 
-def _rodrigues(a: np.ndarray, sin, cos) -> np.ndarray:
-    """I + sin a + (1 - cos) a @ a for a stack of skew matrices ``a``."""
+def _rodrigues(axis: np.ndarray, sin, cos) -> np.ndarray:
+    """Rotations about unit axes by the angles of ``sin`` and ``cos``:
+    I + sin a + (1 - cos) a @ a with a = skew(axis), for stacks too."""
+    a = skew(axis)
     sin, cos = (np.asarray(c)[..., None, None] for c in (sin, cos))
     return _EYE + sin * a + (1.0 - cos) * (a @ a)
 
@@ -451,7 +453,11 @@ def swing_rotation(s, t) -> np.ndarray:
     returned for the parallel side, and for the antiparallel side a half
     turn about a deterministic axis perpendicular to s.
     """
-    u, w = _unit(s, "swing_rotation"), _unit(t, "swing_rotation")
+    return _swing(_unit(s, "swing_rotation"), _unit(t, "swing_rotation"))
+
+
+def _swing(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``swing_rotation`` of unit directions u and w."""
     c = _cross(u, w)
     sin_a = np.sqrt(_dot(c, c))
     cos_a = _dot(u, w)
@@ -464,7 +470,7 @@ def swing_rotation(s, t) -> np.ndarray:
         axis = np.where(fold[..., None], perpendicular, axis)
         sin_a = np.where(fold, 0.0, sin_a)
         cos_a = np.where(fold, np.where(cos_a > 0.0, 1.0, -1.0), cos_a)
-    return _rodrigues(skew(axis), sin_a, cos_a)
+    return _rodrigues(axis, sin_a, cos_a)
 
 
 def twist_rotation(s, phi) -> np.ndarray:
@@ -482,7 +488,7 @@ def twist_rotation(s, phi) -> np.ndarray:
     (3, 3) rotation matrix fixing s: R @ s == s; one per row of stacked
     inputs, (..., 3, 3).
     """
-    return _rodrigues(skew(_unit(s, "twist_rotation")), np.sin(phi), np.cos(phi))
+    return _rodrigues(_unit(s, "twist_rotation"), np.sin(phi), np.cos(phi))
 
 
 def compose_relative(swing: np.ndarray, twist: np.ndarray) -> np.ndarray:
@@ -513,12 +519,12 @@ def root_orientation(
     """
     kids = [k - 1 for k in tree.children(0)[:2]]  # bone k - 1 runs from the root to k
     s, t = source.bone_vectors(tree)[kids], target.bone_vectors(tree)[..., kids, :]
-    swing = swing_rotation(s[0], t[..., 0, :])
     if len(kids) < 2:
-        return swing
+        return swing_rotation(s[0], t[..., 0, :])
     fs, ok_s = _orthonormal_frame(s[0], s[1])
     ft, ok_t = _orthonormal_frame(t[..., 0, :], t[..., 1, :])
-    return np.where((ok_s & ok_t)[..., None, None], ft @ fs.T, swing)
+    ok, aligned = (ok_s & ok_t)[..., None, None], ft @ fs.T
+    return aligned if ok.all() else np.where(ok, aligned, swing_rotation(s[0], t[..., 0, :]))
 
 
 def scalable_ik(
@@ -551,13 +557,13 @@ def scalable_ik(
         raise ValueError("twist count does not match bone count")
     world = np.empty(np.broadcast_shapes(phi.shape[:-1], target.joints.shape[:-2]) + (n, 3, 3))
     world[..., 0, :, :] = root_orientation(source, target, tree)
-    bones, aims = source.bone_vectors(tree), target.bone_vectors(tree)
+    # each direction is normalized once, and the swing and twist share it
+    bones, aims = source.bone_vectors(tree), _unit(target.bone_vectors(tree), "scalable_ik")
     for j in range(1, n):
         p = int(tree.parents[j])
-        cur = world[..., p, :, :] @ bones[j - 1]
-        update = compose_relative(
-            swing_rotation(cur, aims[..., j - 1, :]), twist_rotation(cur, phi[..., j - 1])
-        )
+        cur = _unit(world[..., p, :, :] @ bones[j - 1], "scalable_ik")
+        twist = _rodrigues(cur, np.sin(phi[..., j - 1]), np.cos(phi[..., j - 1]))
+        update = compose_relative(_swing(cur, aims[..., j - 1, :]), twist)
         world[..., j, :, :] = update @ world[..., p, :, :]
     # the root's own orientation stays folded into the bones off the root
     base = world[..., tree.parents[1:], :, :]

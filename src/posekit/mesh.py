@@ -94,8 +94,9 @@ def load_mesh(path) -> Mesh:
 
     Raises:
         FileNotFoundError: missing file.
-        ValueError: malformed record, non-triangular face or an index
-            outside ``[1, N]`` (0 and negative indices are rejected).
+        ValueError: malformed record, non-triangular face, an index
+            outside ``[1, N]`` (0 and negative indices are rejected), or a
+            mesh that breaks the ``Mesh`` contract; the message names the file.
     """
     path = Path(path)
     if not path.is_file():
@@ -132,7 +133,10 @@ def load_mesh(path) -> Mesh:
             faces[row, col] = idx - 1
     if not verts:
         raise ValueError(f"{path}: no vertices")
-    return Mesh(np.array(verts, dtype=np.float64), faces)
+    try:
+        return Mesh(np.array(verts, dtype=np.float64), faces)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_mesh(mesh: Mesh, path) -> None:

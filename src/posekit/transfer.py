@@ -263,17 +263,16 @@ def _probes(x):
     return np.concatenate([x - np.diag(h), x + np.diag(h)]), 2.0 * h
 
 
-def _tangents(pose, x) -> list:
-    """Central differences of ``pose`` per coordinate of ``x``, each a tuple
-    of BoneTransformSets, from one call of ``pose`` on all the probes of
-    ``x`` as rows (``_probes``). LBS is linear in the bone transforms, so
-    ``lbs_blend`` of a tangent set is the derivative of the blended vertices
-    along that coordinate.
+def _tangents(probed, widths) -> list:
+    """Central differences per twist coordinate, each a tuple of
+    BoneTransformSets, of ``probed``: per surface, the stacked transforms at
+    the twists' probes (``_probes``), whose widths are ``widths``. LBS is
+    linear in the bone transforms, so ``lbs_blend`` of a tangent set is the
+    derivative of the blended vertices along that coordinate.
     """
-    k = x.shape[0]
-    probes, widths = _probes(x)
+    k = widths.shape[0]
     slopes = []
-    for tf in pose(probes):
+    for tf in probed:
         arrays = (tf.relative, tf.rotations, tf.translations, tf.posed_joints)
         slopes.append(BoneTransformSet(*(
             (a[k:] - a[:k]) / widths.reshape((k,) + (1,) * (a.ndim - 1)) for a in arrays
@@ -311,24 +310,24 @@ class _Surface(NamedTuple):
 def _twist_objective(surfaces, pose, skinning, n_twists, lw: LossWeights, fit: str):
     """The ``_minimize`` objective of a twist solve over skinned surfaces.
 
-    ``pose(params[:n_twists])`` gives one BoneTransformSet per surface, a
-    stack of them for a stack of twist rows (``_tangents``), and
-    ``skinning(params)`` one SkinningMatrix per surface, or None to reject
-    ``params``. A point where a posed edge collapses is rejected too. The
-    residuals are the fit blocks (posed minus target vertices), then the
-    edge blocks (posed minus rest lengths), in surface order, scaled so
-    that ``r @ r`` is the ``total_loss`` total under ``lw`` with the summed
-    target PMD as its ``fit`` term ("self_recon" or "cycle") and the summed
-    edge terms.
+    ``pose`` maps a stack of twist rows to one stacked BoneTransformSet per
+    surface, and ``skinning(params)`` gives one SkinningMatrix per surface,
+    or None to reject ``params``. A point where a posed edge collapses is
+    rejected too. The residuals are the fit blocks (posed minus target
+    vertices), then the edge blocks (posed minus rest lengths), in surface
+    order, scaled so that ``r @ r`` is the ``total_loss`` total under ``lw``
+    with the summed target PMD as its ``fit`` term ("self_recon" or
+    "cycle") and the summed edge terms.
 
-    The twist columns of the Jacobian difference only ``pose``, in one call
-    on all their probes (``_tangents``); LBS is linear in the transforms, so
-    they are exact in the vertices. Further parameters (the log radii under
-    ``optimize_radii``) get central differences of the residuals.
+    Each evaluation makes one ``pose`` call on the twists and all their
+    probes as rows (``_probes``): row 0 gives the residuals and the others
+    the twist columns of the Jacobian (``_tangents``), exact in the vertices
+    as LBS is linear in the transforms. Further parameters (the log radii
+    under ``optimize_radii``) get central differences of the residuals.
 
-    Returns the objective and a callable giving the breakdown of the last
-    evaluation that passed the rejection checks: inside ``on_accept``, the
-    accepted one.
+    Returns the objective, the ``on_accept`` hook of its solve, and a
+    callable giving the breakdowns of the accepted evaluations and the
+    transforms and skinning weights (one per surface) of the last one.
     """
     fit_weight = {"self_recon": lw.lambda_self, "cycle": lw.lambda_cycle}[fit]
     # r @ r is the weighted total: lambda * mean of squares over each term
@@ -344,13 +343,13 @@ def _twist_objective(surfaces, pose, skinning, n_twists, lw: LossWeights, fit: s
             [c * rows.ravel() for c, rows in zip(scales, fit_rows + edge_rows)]
         )
 
-    def residuals(params):
+    def residuals(params, transforms):
         """Breakdown, residuals and what the Jacobian reuses; None to reject."""
         skins = skinning(params)
         if skins is None:
             return None
         posed, lengths, offsets, fit_value, edge = [], [], [], 0.0, 0.0
-        for s, w, tf in zip(surfaces, skins, pose(params[:n_twists])):
+        for s, w, tf in zip(surfaces, skins, transforms):
             p = lbs_blend(s.vertices, w, tf)
             e, lens = edge_term(p, s.edges, s.rest)
             if (lens == 0.0).any():
@@ -364,14 +363,20 @@ def _twist_objective(surfaces, pose, skinning, n_twists, lw: LossWeights, fit: s
         r = stack(offsets, [lens - s.rest for s, lens in zip(surfaces, lengths)])
         return total_loss(lw, edge=edge, **{fit: fit_value}), r, skins, posed, lengths
 
-    latest = None
+    latest = accepted = None
+    history = []
 
     def objective(params):
         nonlocal latest
-        out = residuals(params)
+        twists = params[:n_twists]
+        probes, widths = _probes(twists)
+        stacks = pose(np.concatenate([twists[None], probes]))
+        transforms = [tf[0] for tf in stacks]
+        out = residuals(params, transforms)
         if out is None:
             return None
-        latest, r, skins, posed, lengths = out
+        breakdown, r, skins, posed, lengths = out
+        latest = breakdown, transforms, skins
 
         def jacobian():
             jac = np.empty((r.shape[0], params.shape[0]))
@@ -379,7 +384,7 @@ def _twist_objective(surfaces, pose, skinning, n_twists, lw: LossWeights, fit: s
                 (p[s.edges[:, 0]] - p[s.edges[:, 1]]) / lens[:, None]
                 for s, p, lens in zip(surfaces, posed, lengths)
             ]
-            for m, tangents in enumerate(_tangents(pose, params[:n_twists])):
+            for m, tangents in enumerate(_tangents([tf[1:] for tf in stacks], widths)):
                 motion = [
                     lbs_blend(s.vertices, w, t)
                     for s, w, t in zip(surfaces, skins, tangents)
@@ -390,17 +395,22 @@ def _twist_objective(surfaces, pose, skinning, n_twists, lw: LossWeights, fit: s
                 ]
                 fit_motion = [v for s, v in zip(surfaces, motion) if s.target is not None]
                 jac[:, m] = stack(fit_motion, rates)
-            probes, widths = _probes(params)
+            points, spans = _probes(params)  # radii probes: the twists stay as they are
             for m in range(n_twists, params.shape[0]):
-                lo, hi = residuals(probes[m]), residuals(probes[params.shape[0] + m])
+                lo, hi = (residuals(points[i], transforms) for i in (m, m + params.shape[0]))
                 if lo is None or hi is None:
                     raise DivergenceError("objective is not finite at a probe point")
-                jac[:, m] = (hi[1] - lo[1]) / widths[m]
+                jac[:, m] = (hi[1] - lo[1]) / spans[m]
             return jac
 
-        return latest.total, r, jacobian
+        return breakdown.total, r, jacobian
 
-    return objective, lambda: latest
+    def accept():
+        nonlocal accepted
+        accepted = latest
+        history.append(latest[0])
+
+    return objective, accept, lambda: (history, *accepted[1:])
 
 
 def pose_transfer(
@@ -449,9 +459,7 @@ def pose_transfer(
     gmm = config.gmm
     if weights is None or gmm.optimize_radii:
         # under optimize_radii this validates the starting radii
-        weights = pseudo_weights(
-            c_mesh.vertices, c_kp, tree, gmm.temperature, gmm.radii
-        )
+        weights = pseudo_weights(c_mesh.vertices, c_kp, tree, gmm.temperature, gmm.radii)
     n_bones = tree.n_bones
 
     def pose(twists):
@@ -466,10 +474,9 @@ def pose_transfer(
             return None
         return (pseudo_weights(c_mesh.vertices, c_kp, tree, gmm.temperature, radii),)
 
-    objective, latest = _twist_objective(
+    objective, accept, solved = _twist_objective(
         [surface], pose, skinning, n_bones, config.loss_weights, "self_recon"
     )
-    history = []
     x0 = np.zeros(n_bones, dtype=np.float64)
     if gmm.optimize_radii:
         start = default_radii(c_kp, tree) if gmm.radii is None else gmm.radii
@@ -480,10 +487,9 @@ def pose_transfer(
         config.optimizer.max_iters,
         config.optimizer.step_size,
         config.optimizer.tolerance,
-        on_accept=lambda: history.append(latest()),
+        on_accept=accept,
     )
-    (w,) = skinning(x)
-    (tf,) = pose(x[:n_bones])
+    history, (tf,), (w,) = solved()
     coarse = lbs_apply(source, w, tf)
     refined = refine(coarse, source, config) if config.refinement.enabled else coarse
     return TransferResult(
@@ -582,9 +588,10 @@ def cycle_reconstruct(
     regressor re-reads them from the intermediate surface instead. The
     Jacobian differences the two-hop map from twists to both hops' bone
     transforms (which includes the first hop's blend when a regressor reads
-    the intermediate keypoints) and is exact in the vertices. It poses all
-    probes in one stacked IK/FK call per hop. The first hop does not depend
-    on the second hop's twists, so it is posed once for all of their probes.
+    the intermediate keypoints) and is exact in the vertices. Each
+    evaluation poses its point and all probes in one stacked IK/FK call per
+    hop. The first hop does not depend on the second hop's twists, so it is
+    posed once for all of their probes.
     """
     tree = config.tree
     source_kp.validate_for(tree)
@@ -599,32 +606,32 @@ def cycle_reconstruct(
     n_bones = tree.n_bones
 
     def pose(params):
-        """Bone transforms of both hops, for one row of twists or a stack;
-        hop 1 is posed once per distinct row of its twists."""
-        hop1 = params[..., :n_bones].reshape(-1, n_bones)
-        rows, inverse = np.unique(hop1, axis=0, return_inverse=True)
+        """Bone transforms of both hops for a stack of twist rows; hop 1 is
+        posed once per distinct row of its twists."""
+        rows, inverse = np.unique(params[:, :n_bones], axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
         tf1 = _pose_bones(source_kp, target_kp, TwistAngles.wrap(rows), tree)
         if intermediate_regressor is None:
             inter = tf1.posed_joints
         else:
             blends = np.stack([lbs_blend(source.vertices, w1, tf1[i]) for i in range(len(rows))])
             inter = regress_keypoints(blends, intermediate_regressor).joints
-        inverse = inverse.reshape(params.shape[:-1])
         inter_kp = KeypointSet(inter[inverse])
-        tf2 = _pose_bones(third_kp, inter_kp, TwistAngles.wrap(params[..., n_bones:]), tree)
+        tf2 = _pose_bones(third_kp, inter_kp, TwistAngles.wrap(params[:, n_bones:]), tree)
         return tf1[inverse], tf2
 
-    objective, _ = _twist_objective(
+    objective, accept, solved = _twist_objective(
         surfaces, pose, lambda params: (w1, w2), 2 * n_bones, config.loss_weights, "cycle"
     )
-    x, _, _, _ = _minimize(
+    _minimize(
         objective,
         np.zeros(2 * n_bones, dtype=np.float64),
         config.optimizer.max_iters,
         config.optimizer.step_size,
         config.optimizer.tolerance,
+        on_accept=accept,
     )
-    _, tf2 = pose(x)
+    _, (_, tf2), _ = solved()
     out = third.with_vertices(lbs_blend(third.vertices, w2, tf2))
     if config.refinement.enabled:
         out = refine(out, third, config)

@@ -303,6 +303,24 @@ def test_eval_count_mismatch(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("v nan 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", "vertex coordinates must be finite"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 1 2\n", "face repeats a vertex"),
+        ("v 0 0 0\nv 0 0 0\nv 0 1 0\nf 1 2 3\n", "zero-length edge"),
+    ],
+    ids=["nan_coordinate", "repeated_vertex", "zero_length_edge"],
+)
+def test_eval_mesh_that_breaks_the_mesh_contract_exits_1(puppet_files, capsys, text, message):
+    # in a run over many files the error line must say which one is bad
+    d, _ = puppet_files
+    (d / "bad.obj").write_text(text)
+    assert main(["eval", str(d / "rest.obj"), str(d / "bad.obj")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: {d / 'bad.obj'}: {message}"
+
+
 def test_ik_check(tmp_path, capsys):
     from posekit import bundled_tree
 

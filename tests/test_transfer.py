@@ -488,37 +488,132 @@ def test_cycle_jacobian_matches_finite_differences(with_regressor):
         assert_gradient_matches(f, rng.uniform(-np.pi, np.pi, 4))
 
 
-@pytest.mark.parametrize("segments", [1, 3, 6])
-@pytest.mark.parametrize("solve", ["transfer", "cycle"])
-def test_a_jacobian_makes_one_stacked_ik_call_per_hop(monkeypatch, segments, solve):
-    a = make_puppet(segments, 0.6, 0.4, seed=0, sides=8, rings_per_segment=3)
-    b = make_puppet(segments, 0.6, 0.4, seed=7, radius=0.3, sides=8, rings_per_segment=3)
-    c = make_puppet(segments, 0.3, 0.0, seed=7, radius=0.3, sides=8, rings_per_segment=3)
-    runs = {
+def small_trio(segments):
+    """Source, target and third puppets of a cycle, small enough for many solves."""
+    return (
+        make_puppet(segments, 0.6, 0.4, seed=0, sides=8, rings_per_segment=3),
+        make_puppet(segments, 0.6, 0.4, seed=7, radius=0.3, sides=8, rings_per_segment=3),
+        make_puppet(segments, 0.3, 0.0, seed=7, radius=0.3, sides=8, rings_per_segment=3),
+    )
+
+
+def solve_runs(a, b, c, cfg, regressor=None):
+    """Both twist solves on a trio: ``pose_transfer`` supervised by a's posed
+    mesh, and ``cycle_reconstruct`` through b and c."""
+    return {
         "transfer": lambda: pose_transfer(
-            a.rest_mesh, a.rest_keypoints, b.posed_keypoints, solve_nothing(a),
-            target_mesh=a.posed_mesh,
+            a.rest_mesh, a.rest_keypoints, b.posed_keypoints, cfg, target_mesh=a.posed_mesh,
         ),
         "cycle": lambda: cycle_reconstruct(
             a.rest_mesh, a.rest_keypoints, b.posed_mesh, b.posed_keypoints,
-            c.posed_mesh, c.posed_keypoints, solve_nothing(a),
+            c.posed_mesh, c.posed_keypoints, cfg, intermediate_regressor=regressor,
         ),
     }
-    # K twists have 2K probes; the cycle's hop 1 poses only the 2K + 1
-    # distinct rows of its twists among the 4K probes of both hops' 2K twists
+
+
+@pytest.mark.parametrize("segments", [1, 3, 6])
+@pytest.mark.parametrize("solve", ["transfer", "cycle"])
+def test_an_evaluation_makes_one_stacked_ik_call_per_hop(monkeypatch, segments, solve):
+    # each evaluation poses its point and the 2K probes of its K twists as
+    # rows of one call per hop; the cycle's hop 1 poses only the 2K + 1
+    # distinct rows of its twists among the 4K + 1 rows of both hops' 2K
+    # twists. Jacobians and the result reuse those poses.
+    a, b, c = small_trio(segments)
+    cfg = puppet_config(a, max_iters=3)
     k = segments
-    rows = {"transfer": [2 * k], "cycle": [2 * k + 1, 4 * k]}[solve]
-    f = captured_objective(runs[solve])
-    _, _, jacobian = f(np.random.default_rng(k).uniform(-np.pi, np.pi, rows[-1] // 2))
-    real, calls = transfer.scalable_ik, []
+    rows = {"transfer": [2 * k + 1], "cycle": [2 * k + 1, 4 * k + 1]}[solve]
+    calls, evaluations, jacobians = [], [], []
+    real_ik, real_minimize = transfer.scalable_ik, transfer._minimize
 
-    def counted(*args):  # the twist rows of each call
+    def counted_ik(*args):  # the twist rows of each call
         calls.append(len(np.atleast_2d(args[2].phi)))
-        return real(*args)
+        return real_ik(*args)
 
-    monkeypatch.setattr(transfer, "scalable_ik", counted)
-    jacobian()
-    assert calls == rows
+    def counted(f):
+        def evaluate(x):
+            before = len(calls)
+            out = f(x)
+            evaluations.append(calls[before:])
+            if out is None:
+                return None
+            value, r, jacobian = out
+
+            def counted_jacobian():
+                before = len(calls)
+                jac = jacobian()
+                jacobians.append(calls[before:])
+                return jac
+
+            return value, r, counted_jacobian
+
+        return evaluate
+
+    monkeypatch.setattr(transfer, "scalable_ik", counted_ik)
+    monkeypatch.setattr(
+        transfer, "_minimize", lambda f, *args, **kw: real_minimize(counted(f), *args, **kw)
+    )
+    solve_runs(a, b, c, cfg)[solve]()
+    assert len(jacobians) >= 2
+    assert evaluations and all(made == rows for made in evaluations)
+    assert all(made == [] for made in jacobians)
+    # every call was made inside an evaluation: none followed the last one
+    assert sum(evaluations, []) == calls
+
+
+def pose_rows_alone(pose_bones):
+    """``pose_bones`` with each row of a stack posed by its own unstacked call."""
+
+    def rowwise(rest_kp, target_kp, twists, tree):
+        phi = np.atleast_2d(twists.phi)
+        joints = np.broadcast_to(target_kp.joints, phi.shape[:1] + target_kp.joints.shape[-2:])
+        rows = [
+            pose_bones(rest_kp, KeypointSet(joints[i]), TwistAngles(phi[i]), tree)
+            for i in range(phi.shape[0])
+        ]
+        return transfer.BoneTransformSet(*(
+            np.stack([getattr(tf, name) for tf in rows])
+            for name in ("relative", "rotations", "translations", "posed_joints")
+        ))
+
+    return rowwise
+
+
+@pytest.mark.parametrize(
+    "solve, segments, radii, regressor",
+    [
+        *((solve, k, False, False) for solve in ("transfer", "cycle") for k in (1, 3, 6)),
+        ("transfer", 3, True, False),
+        ("cycle", 2, False, True),
+    ],
+)
+def test_stacked_objective_equals_posing_every_row_alone(solve, segments, radii, regressor):
+    if regressor:  # ring_regressor reads the default puppet rings
+        a = make_puppet(2, 0.6, 0.4, seed=0)
+        b = make_puppet(2, 0.6, 0.4, seed=7, radius=0.3)
+        c = make_puppet(2, 0.3, 0.0, seed=7, radius=0.3)
+    else:
+        a, b, c = small_trio(segments)
+    cfg = solve_nothing(a)
+    cfg.gmm.optimize_radii = radii
+    run = solve_runs(a, b, c, cfg, ring_regressor(a) if regressor else None)[solve]
+    n_twists = segments * (2 if solve == "cycle" else 1)
+    rng = np.random.default_rng(segments)
+    points = [rng.uniform(-np.pi, np.pi, n_twists) for _ in range(3)]
+    if radii:
+        points = [np.concatenate([x, np.log(rng.uniform(0.3, 0.8, segments))]) for x in points]
+
+    def evaluations():
+        f = captured_objective(run)
+        return [(value, r, jacobian()) for value, r, jacobian in map(f, points)]
+
+    stacked = evaluations()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "_pose_bones", pose_rows_alone(transfer._pose_bones))
+        reference = evaluations()
+    for (value, r, jac), (want_value, want_r, want_jac) in zip(stacked, reference):
+        assert value == want_value
+        assert np.array_equal(r, want_r)
+        assert np.array_equal(jac, want_jac)
 
 
 def test_cycle_with_a_regressor_that_merges_joints_raises_degenerate_bone():
@@ -540,8 +635,8 @@ def test_cycle_with_a_regressor_that_merges_joints_raises_degenerate_bone():
 def test_cycle_jacobian_reuses_the_first_hop(monkeypatch):
     # probes of the second hop's twists leave the first hop's twists as they
     # are, so they share one posing of the first hop; the Jacobian now makes
-    # one stacked call per hop, well inside the per-probe bound of 6K + 1
-    # (test_a_jacobian_makes_one_stacked_ik_call_per_hop pins the rows)
+    # no call at all, well inside the per-probe bound of 6K + 1
+    # (test_an_evaluation_makes_one_stacked_ik_call_per_hop pins the rows)
     a = make_puppet(2, 0.6, 0.4, seed=0)
     b = make_puppet(2, 0.6, 0.4, seed=7, radius=0.3)
     c = make_puppet(2, 0.3, 0.0, seed=7, radius=0.3)
