@@ -244,8 +244,8 @@ class JointRegressor:
         m = self.matrix
         if m.ndim != 2:
             raise ValueError("regressor must be a (J, N) matrix")
-        if (m < 0).any():
-            raise ValueError("regressor entries must be nonnegative")
+        if not (np.isfinite(m).all() and (m >= 0).all()):
+            raise ValueError("regressor entries must be finite and nonnegative")
         sums = m.sum(axis=1)
         if (sums == 0).any():
             raise ValueError("regressor has a zero row")
@@ -297,7 +297,10 @@ def load_regressor(path, shape: tuple[int, int] | None = None) -> JointRegressor
             m = np.array([[float(c) for c in r] for r in rows], dtype=np.float64)
     except (ValueError, IndexError) as exc:
         raise ValueError(f"{path}: regressor parse failure: {exc}") from None
-    return JointRegressor(m)
+    try:
+        return JointRegressor(m)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass

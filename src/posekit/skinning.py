@@ -81,7 +81,10 @@ def load_weights(path) -> SkinningMatrix:
         m = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{path}: weight parse failure: {exc}") from None
-    return SkinningMatrix(m)
+    try:
+        return SkinningMatrix(m)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def bone_centers(keypoints: KeypointSet, tree: KinematicTree) -> np.ndarray:

@@ -307,17 +307,18 @@ class _Surface(NamedTuple):
         return cls(mesh.vertices, mesh.edges, rest, fit_to)
 
 
-def _twist_objective(surfaces, pose, skinning, n_twists, lw: LossWeights, fit: str):
-    """The ``_minimize`` objective of a twist solve over skinned surfaces.
+def _solve_twists(surfaces, pose, skinning, x0, n_twists, config: TransferConfig, fit: str):
+    """Levenberg-Marquardt (``_minimize``) from ``x0`` over skinned surfaces.
 
     ``pose`` maps a stack of twist rows to one stacked BoneTransformSet per
     surface, and ``skinning(params)`` gives one SkinningMatrix per surface,
     or None to reject ``params``. A point where a posed edge collapses is
     rejected too. The residuals are the fit blocks (posed minus target
     vertices), then the edge blocks (posed minus rest lengths), in surface
-    order, scaled so that ``r @ r`` is the ``total_loss`` total under ``lw``
-    with the summed target PMD as its ``fit`` term ("self_recon" or
-    "cycle") and the summed edge terms.
+    order, scaled so that ``r @ r`` is the ``total_loss`` total under
+    ``config.loss_weights`` with the summed target PMD as its ``fit`` term
+    ("self_recon" or "cycle") and the summed edge terms. The solve runs
+    under ``config.optimizer``.
 
     Each evaluation makes one ``pose`` call on the twists and all their
     probes as rows (``_probes``): row 0 gives the residuals and the others
@@ -325,10 +326,11 @@ def _twist_objective(surfaces, pose, skinning, n_twists, lw: LossWeights, fit: s
     as LBS is linear in the transforms. Further parameters (the log radii
     under ``optimize_radii``) get central differences of the residuals.
 
-    Returns the objective, the ``on_accept`` hook of its solve, and a
-    callable giving the breakdowns of the accepted evaluations and the
-    transforms and skinning weights (one per surface) of the last one.
+    Returns ``(x, stop_reason, losses, transforms, skins)``: the final
+    point, why the solve ended, the breakdowns of the accepted evaluations,
+    and the transforms and skinning weights (one per surface) of the last.
     """
+    lw = config.loss_weights
     fit_weight = {"self_recon": lw.lambda_self, "cycle": lw.lambda_cycle}[fit]
     # r @ r is the weighted total: lambda * mean of squares over each term
     scales = [
@@ -410,7 +412,11 @@ def _twist_objective(surfaces, pose, skinning, n_twists, lw: LossWeights, fit: s
         accepted = latest
         history.append(latest[0])
 
-    return objective, accept, lambda: (history, *accepted[1:])
+    opt = config.optimizer
+    x, _, _, stop_reason = _minimize(
+        objective, x0, opt.max_iters, opt.step_size, opt.tolerance, on_accept=accept
+    )
+    return x, stop_reason, history, *accepted[1:]
 
 
 def pose_transfer(
@@ -429,11 +435,11 @@ def pose_transfer(
     Pipeline: pseudo skinning weights from the canonical pose (the source
     itself unless an identity-level canonical pair is supplied), relative
     bone rotations from scalable IK, forward kinematics, linear blend
-    skinning, then a Levenberg-Marquardt solve (``_minimize``) over the
+    skinning, then a Levenberg-Marquardt solve (``_solve_twists``) over the
     per-bone twist angles (and the log Gaussian radii when
     ``config.gmm.optimize_radii`` is set, which ignores any supplied
-    ``weights``). The solve is ``_twist_objective`` over one surface, the
-    source: its weighted edge term plus, when ``target_mesh`` is given (a
+    ``weights``). The solve runs over one surface, the source: its
+    weighted edge term plus, when ``target_mesh`` is given (a
     same-connectivity mesh of the source identity in the target pose), the
     weighted self-reconstruction error against it, both as sums of squared
     residuals. Twist is invisible to keypoints, so without a supervising
@@ -474,22 +480,13 @@ def pose_transfer(
             return None
         return (pseudo_weights(c_mesh.vertices, c_kp, tree, gmm.temperature, radii),)
 
-    objective, accept, solved = _twist_objective(
-        [surface], pose, skinning, n_bones, config.loss_weights, "self_recon"
-    )
     x0 = np.zeros(n_bones, dtype=np.float64)
     if gmm.optimize_radii:
         start = default_radii(c_kp, tree) if gmm.radii is None else gmm.radii
         x0 = np.concatenate([x0, np.log(start)])
-    x, _, _, stop_reason = _minimize(
-        objective,
-        x0,
-        config.optimizer.max_iters,
-        config.optimizer.step_size,
-        config.optimizer.tolerance,
-        on_accept=accept,
+    x, stop_reason, history, (tf,), (w,) = _solve_twists(
+        [surface], pose, skinning, x0, n_bones, config, "self_recon"
     )
-    history, (tf,), (w,) = solved()
     coarse = lbs_apply(source, w, tf)
     refined = refine(coarse, source, config) if config.refinement.enabled else coarse
     return TransferResult(
@@ -579,10 +576,9 @@ def cycle_reconstruct(
     third mesh (identity B, same identity as the target but a different
     pose) is posed onto the intermediate result, and the second output is
     compared to the target (identity B in the target pose). Twists of both
-    hops are solved jointly by Levenberg-Marquardt (``_minimize``) on
-    ``_twist_objective`` over two surfaces, the intermediate (edge term
-    only) and the output (cycle and edge terms), as sums of squared
-    residuals.
+    hops are solved jointly by ``_solve_twists`` over two surfaces, the
+    intermediate (edge term only) and the output (cycle and edge terms), as
+    sums of squared residuals.
 
     Intermediate keypoints are the first hop's posed joints; passing a
     regressor re-reads them from the intermediate surface instead. The
@@ -620,19 +616,11 @@ def cycle_reconstruct(
         tf2 = _pose_bones(third_kp, inter_kp, TwistAngles.wrap(params[:, n_bones:]), tree)
         return tf1[inverse], tf2
 
-    objective, accept, solved = _twist_objective(
-        surfaces, pose, lambda params: (w1, w2), 2 * n_bones, config.loss_weights, "cycle"
+    x0 = np.zeros(2 * n_bones, dtype=np.float64)
+    *_, (_, tf2), _ = _solve_twists(
+        surfaces, pose, lambda params: (w1, w2), x0, 2 * n_bones, config, "cycle"
     )
-    _minimize(
-        objective,
-        np.zeros(2 * n_bones, dtype=np.float64),
-        config.optimizer.max_iters,
-        config.optimizer.step_size,
-        config.optimizer.tolerance,
-        on_accept=accept,
-    )
-    _, (_, tf2), _ = solved()
-    out = third.with_vertices(lbs_blend(third.vertices, w2, tf2))
+    out = lbs_apply(third, w2, tf2)
     if config.refinement.enabled:
         out = refine(out, third, config)
     return pmd(out, target)
@@ -770,13 +758,11 @@ def make_puppet(
     )
 
 
-def save_result(result: TransferResult, out_dir, extra: dict | None = None) -> dict:
-    """Persist a TransferResult; returns the summary that was written."""
-    return _save_result(result, out_dir, extra, _weights_csv(result.weights))
-
-
-def _save_result(result, out_dir, extra, weights_csv: str) -> dict:
-    """``save_result`` with the text of ``weights.csv`` given."""
+def save_result(
+    result: TransferResult, out_dir, extra: dict | None = None, weights_csv: str | None = None
+) -> dict:
+    """Persist a TransferResult, with ``weights_csv`` as the text of
+    ``weights.csv`` when given; returns the summary that was written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_mesh(result.coarse, out / "coarse.obj")
@@ -788,7 +774,9 @@ def _save_result(result, out_dir, extra, weights_csv: str) -> dict:
     (out / "losses.jsonl").write_text(
         "".join(json.dumps(b.to_dict(), sort_keys=True) + "\n" for b in result.losses)
     )
-    (out / "weights.csv").write_text(weights_csv)
+    (out / "weights.csv").write_text(
+        _weights_csv(result.weights) if weights_csv is None else weights_csv
+    )
     summary = {
         "iterations": len(result.losses) - 1,
         "stop_reason": result.stop_reason,
@@ -939,9 +927,7 @@ def run_manifest(manifest_path, config: TransferConfig, out_dir, jobs: int = 1) 
             canonical_mesh=c_mesh,
             canonical_kp=c_kp,
         )
-        csv = csv or _weights_csv(result.weights)  # optimize_radii: weights per pair
-        summary = _save_result(result, Path(out_dir) / pair["name"], None, csv)
-        return pair["name"], summary
+        return pair["name"], save_result(result, Path(out_dir) / pair["name"], None, csv)
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(run_pair, pair) for pair in manifest["pairs"]]

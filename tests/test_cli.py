@@ -321,6 +321,30 @@ def test_eval_mesh_that_breaks_the_mesh_contract_exits_1(puppet_files, capsys, t
     assert line == f"error: {d / 'bad.obj'}: {message}"
 
 
+@pytest.mark.parametrize(
+    "option, text, message",
+    [
+        ("--compare", "nan,0.5\n0.5,0.5\n", "weights must be finite"),
+        ("--compare", "0.6,0.5\n0.5,0.5\n", "weight rows must sum to 1 (off by 1.000e-01)"),
+        ("--regressor", "1,0,0\n0,0,0\n", "regressor has a zero row"),
+        ("--regressor", "1,0,0\nnan,1,0\n", "regressor entries must be finite and nonnegative"),
+    ],
+    ids=["nan_weight", "weight_row_sum", "zero_regressor_row", "nan_regressor_entry"],
+)
+def test_matrix_file_that_breaks_its_contract_exits_1(puppet_files, capsys, option, text, message):
+    d, _ = puppet_files
+    (d / "bad.csv").write_text(text)
+    if option == "--compare":
+        argv = ["weights", "--mesh", str(d / "rest.obj"), "--kp", str(d / "rest_kp.json"),
+                "--out", str(d / "w.csv")]
+    else:
+        argv = ["transfer", "--source", str(d / "rest.obj"), "--source-kp",
+                str(d / "rest_kp.json"), "--target", str(d / "posed.obj"), "--out", str(d / "out")]
+    assert main(argv + ["--tree", str(d / "tree.json"), option, str(d / "bad.csv")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: {d / 'bad.csv'}: {message}"
+
+
 def test_ik_check(tmp_path, capsys):
     from posekit import bundled_tree
 

@@ -36,6 +36,7 @@ from posekit import (
     forward_kinematics,
     lbs_apply,
     numerical_gradient,
+    pseudo_weights,
     scalable_ik,
     total_loss,
     transfer,
@@ -486,6 +487,46 @@ def test_cycle_jacobian_matches_finite_differences(with_regressor):
     rng = np.random.default_rng(5)
     for _ in range(3):
         assert_gradient_matches(f, rng.uniform(-np.pi, np.pi, 4))
+
+
+def branching_figure(tree, rng):
+    """A figure over ``tree``, built without ``make_puppet``: three jittered
+    vertices along each bone of a random rest skeleton, joined in order into
+    one strip of faces, with pseudo weights; and the target keypoints and
+    mesh of random relative rotations, posed by FK and LBS."""
+    from test_kinematics import _random_pose, random_rotation
+
+    rest_kp = _random_pose(tree, rng)
+    heads, tails = rest_kp.joints[tree.parents[1:]], rest_kp.joints[1:]
+    t = np.array([0.2, 0.5, 0.8])[None, :, None]
+    vertices = (heads[:, None] + t * (tails - heads)[:, None]).reshape(-1, 3)
+    vertices += 0.1 * rng.normal(size=vertices.shape)
+    strip = np.arange(vertices.shape[0] - 2)
+    rest = Mesh(vertices, np.stack([strip, strip + 1, strip + 2], axis=1))
+    weights = pseudo_weights(vertices, rest_kp, tree, 2.0)
+    rotations = np.stack([random_rotation(rng) for _ in range(tree.n_bones)])
+    tf = forward_kinematics(rest_kp, rotations, tree)
+    return rest, rest_kp, KeypointSet(tf.posed_joints), lbs_apply(rest, weights, tf)
+
+
+@pytest.mark.parametrize("supervised", [False, True], ids=["unsupervised", "supervised"])
+@pytest.mark.parametrize("name", ["smpl_24", "smal_33"])
+def test_twist_jacobian_matches_finite_differences_on_branching_trees(name, supervised):
+    # the roots of both trees, and joints 3 and 5 of smal_33, have several children
+    tree = bundled_tree(name)
+    rng = np.random.default_rng(11)
+    rest, rest_kp, target_kp, target = branching_figure(tree, rng)
+    cfg = TransferConfig(tree=tree)
+    cfg.optimizer.max_iters = 0
+    cfg.refinement.enabled = False
+    f = captured_objective(
+        lambda: pose_transfer(
+            rest, rest_kp, target_kp, cfg, target_mesh=target if supervised else None
+        )
+    )
+    phi = rng.uniform(-np.pi, np.pi, tree.n_bones)
+    assert f(phi)[0] > 1e-12
+    assert_gradient_matches(f, phi)
 
 
 def small_trio(segments):
