@@ -17,6 +17,7 @@ import numpy as np
 EPS_LENGTH = 1e-9
 EPS_PARALLEL = 1e-8
 _EYE = np.eye(3)
+_TREES = Path(__file__).with_name("trees")  # the bundled trees, one JSON file each
 
 
 @dataclass
@@ -79,7 +80,7 @@ class KinematicTree:
         return cls(parents, names)
 
 
-# JSON input rules: every JSON file, number and config block is read here.
+# Input rules: every input file, JSON number and config block is read here.
 
 
 def _is_number(x) -> bool:
@@ -143,23 +144,27 @@ def _settings(cls, block: str, data):
     return cls(**kwargs)
 
 
-def _from_json_file(path, kind: str, from_dict=lambda data: data):
-    """``from_dict`` of the JSON value of a ``kind`` file.
+def _from_file(path, kind: str, parse):
+    """``parse`` of the text of a ``kind`` file: every input file is read here.
 
-    A missing file is a FileNotFoundError; a decode error, or a ValueError
-    of ``from_dict``, is a ValueError that names the file.
+    A missing file is a FileNotFoundError; an undecodable byte, or a
+    ValueError or RecursionError of ``parse``, is a ValueError that names the
+    file once (a message that starts with ``<path>:`` is kept as it is).
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such {kind} file: {path}")
     try:
-        return from_dict(json.loads(path.read_text()))
+        return parse(path.read_text())
     except (ValueError, RecursionError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        message = str(exc)
+        if not message.startswith(f"{path}:"):
+            message = f"{path}: {message}"
+        raise ValueError(message) from None
 
 
 def load_tree(path) -> KinematicTree:
-    return _from_json_file(path, "tree", KinematicTree.from_dict)
+    return _from_file(path, "tree", lambda text: KinematicTree.from_dict(json.loads(text)))
 
 
 def save_tree(tree: KinematicTree, path) -> None:
@@ -168,7 +173,7 @@ def save_tree(tree: KinematicTree, path) -> None:
 
 def bundled_tree(name: str) -> KinematicTree:
     """Load one of the trees shipped with the package ('smpl_24', 'smal_33')."""
-    path = Path(__file__).with_name("trees") / f"{name}.json"
+    path = _TREES / f"{name}.json"
     if not path.is_file():
         raise ValueError(f"no bundled tree named {name!r}")
     return load_tree(path)
@@ -226,7 +231,7 @@ class KeypointSet:
 
 
 def load_keypoints(path) -> KeypointSet:
-    return _from_json_file(path, "keypoint", KeypointSet.from_dict)
+    return _from_file(path, "keypoint", lambda text: KeypointSet.from_dict(json.loads(text)))
 
 
 def save_keypoints(kp: KeypointSet, path) -> None:
@@ -270,13 +275,13 @@ def load_regressor(path, shape: tuple[int, int] | None = None) -> JointRegressor
     matrix shape is taken from ``shape`` when given, otherwise from the
     largest indices present.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"no such regressor file: {path}")
-    with path.open(newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
+    return _from_file(path, "regressor", lambda text: _parse_regressor(text, shape))
+
+
+def _parse_regressor(text: str, shape) -> JointRegressor:
+    rows = [r for r in csv.reader(text.split("\n")) if r and any(c.strip() for c in r)]
     if not rows:
-        raise ValueError(f"{path}: empty regressor file")
+        raise ValueError("empty regressor file")
     header = [c.strip().lower() for c in rows[0]]
     try:
         if header == ["row", "col", "weight"]:
@@ -296,11 +301,8 @@ def load_regressor(path, shape: tuple[int, int] | None = None) -> JointRegressor
         else:
             m = np.array([[float(c) for c in r] for r in rows], dtype=np.float64)
     except (ValueError, IndexError) as exc:
-        raise ValueError(f"{path}: regressor parse failure: {exc}") from None
-    try:
-        return JointRegressor(m)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"regressor parse failure: {exc}") from exc
+    return JointRegressor(m)
 
 
 @dataclass

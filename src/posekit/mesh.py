@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .kinematics import _from_file
+
 
 @dataclass
 class Mesh:
@@ -94,27 +96,29 @@ def load_mesh(path) -> Mesh:
 
     Raises:
         FileNotFoundError: missing file.
-        ValueError: malformed record, non-triangular face, an index
-            outside ``[1, N]`` (0 and negative indices are rejected), or a
-            mesh that breaks the ``Mesh`` contract; the message names the file.
+        ValueError: undecodable byte, malformed record, non-triangular
+            face, an index outside ``[1, N]`` (0 and negative indices are
+            rejected), or a mesh that breaks the ``Mesh`` contract; the
+            message names the file.
     """
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"no such mesh file: {path}")
+    return _from_file(path, "mesh", lambda text: _parse_obj(text, path))
+
+
+def _parse_obj(text: str, path: Path) -> Mesh:
     verts: list[list[float]] = []
     face_refs: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
         if tokens[0] == "v":
-            if len(tokens) < 4:
-                raise ValueError(f"{path}:{lineno}: malformed vertex record")
             try:
-                verts.append([float(t) for t in tokens[1:4]])
+                x, y, z = map(float, tokens[1:4])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed vertex record") from exc
+            verts.append([x, y, z])
         elif tokens[0] == "f":
             if len(tokens) != 4:
                 raise ValueError(f"{path}:{lineno}: face is not a triangle")
@@ -132,11 +136,8 @@ def load_mesh(path) -> Mesh:
                 raise ValueError(f"{path}:{lineno}: face index {idx} out of range")
             faces[row, col] = idx - 1
     if not verts:
-        raise ValueError(f"{path}: no vertices")
-    try:
-        return Mesh(np.array(verts, dtype=np.float64), faces)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError("no vertices")
+    return Mesh(np.array(verts, dtype=np.float64), faces)
 
 
 def save_mesh(mesh: Mesh, path) -> None:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kinematics import BoneTransformSet, KeypointSet, KinematicTree
+from .kinematics import BoneTransformSet, KeypointSet, KinematicTree, _from_file
 from .mesh import Mesh
 
 
@@ -74,17 +74,14 @@ def _weights_csv(weights: SkinningMatrix) -> str:
 
 
 def load_weights(path) -> SkinningMatrix:
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"no such weight file: {path}")
-    try:
-        m = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: weight parse failure: {exc}") from None
-    try:
+    def parse(text):
+        try:
+            m = np.loadtxt(text.splitlines(), delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"weight parse failure: {exc}") from exc
         return SkinningMatrix(m)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+
+    return _from_file(path, "weight", parse)
 
 
 def bone_centers(keypoints: KeypointSet, tree: KinematicTree) -> np.ndarray:

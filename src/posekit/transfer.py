@@ -16,12 +16,12 @@ from .kinematics import (
     KinematicTree,
     TwistAngles,
     BoneTransformSet,
-    _from_json_file,
+    _TREES,
+    _from_file,
     _settings,
     forward_kinematics,
     load_keypoints,
     load_tree,
-    bundled_tree,
     regress_keypoints,
     scalable_ik,
 )
@@ -92,14 +92,9 @@ class TransferConfig:
         if isinstance(tree_spec, dict):
             tree = KinematicTree.from_dict(tree_spec)
         else:
-            candidate = base / str(tree_spec)
-            if candidate.is_file():
-                tree = load_tree(candidate)
-            else:
-                try:
-                    tree = bundled_tree(str(tree_spec))
-                except ValueError:
-                    raise FileNotFoundError(f"no such tree file: {candidate}") from None
+            # a file beside the config, else a bundled tree, else a missing file
+            candidate, bundled = base / str(tree_spec), _TREES / f"{tree_spec}.json"
+            tree = load_tree(bundled if bundled.is_file() and not candidate.is_file() else candidate)
         blocks = {
             f.name: _settings(f.default_factory, f.name, data[f.name])
             for f in fields(cls)
@@ -109,7 +104,7 @@ class TransferConfig:
 
     @classmethod
     def from_file(cls, path) -> "TransferConfig":
-        return cls.from_dict(_from_json_file(path, "config"), base_dir=Path(path).parent)
+        return cls.from_dict(_from_file(path, "config", json.loads), base_dir=Path(path).parent)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -578,7 +573,8 @@ def cycle_reconstruct(
     compared to the target (identity B in the target pose). Twists of both
     hops are solved jointly by ``_solve_twists`` over two surfaces, the
     intermediate (edge term only) and the output (cycle and edge terms), as
-    sums of squared residuals.
+    sums of squared residuals. Both hops' weights use ``gmm.radii`` as given:
+    ``gmm.optimize_radii`` is read only by ``pose_transfer``.
 
     Intermediate keypoints are the first hop's posed joints; passing a
     regressor re-reads them from the intermediate surface instead. The
@@ -812,12 +808,16 @@ def load_manifest(path) -> dict:
     empty, ``.`` or ``..``). Any other layout is a ValueError.
     """
     path = Path(path)
-    data = _from_json_file(path, "manifest")
+    return _from_file(path, "manifest", lambda text: _resolve_manifest(json.loads(text), path))
+
+
+def _resolve_manifest(data, path: Path) -> dict:
+    """``load_manifest``'s checks of the JSON value of the manifest at ``path``."""
     base = path.parent
 
     def check(ok, what):
         if not ok:
-            raise ValueError(f"{path}: {what}")
+            raise ValueError(what)
 
     check(isinstance(data, dict), "manifest must be a JSON object")
     identities = data.get("identities")
@@ -845,12 +845,10 @@ def load_manifest(path) -> dict:
                 f"pose {pose_name!r} of {name!r} must be "
                 '{"mesh": <path>, "keypoints": <path>}',
             )
-            mesh_path = base / files["mesh"]
-            kp_path = base / files["keypoints"]
-            for p in (mesh_path, kp_path):
+            entry["poses"][pose_name] = {k: base / files[k] for k in ("mesh", "keypoints")}
+            for p in entry["poses"][pose_name].values():
                 if not p.is_file():
                     raise FileNotFoundError(f"{path}: referenced file missing: {p}")
-            entry["poses"][pose_name] = {"mesh": mesh_path, "keypoints": kp_path}
         resolved["identities"][name] = entry
     names = set()
     for pair in pairs:

@@ -309,13 +309,18 @@ def test_eval_count_mismatch(tmp_path, capsys):
         ("v nan 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", "vertex coordinates must be finite"),
         ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 1 2\n", "face repeats a vertex"),
         ("v 0 0 0\nv 0 0 0\nv 0 1 0\nf 1 2 3\n", "zero-length edge"),
+        (
+            "v 0 0 0\n# \xff\n",
+            "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte",
+        ),
     ],
-    ids=["nan_coordinate", "repeated_vertex", "zero_length_edge"],
+    ids=["nan_coordinate", "repeated_vertex", "zero_length_edge", "non_utf8"],
 )
 def test_eval_mesh_that_breaks_the_mesh_contract_exits_1(puppet_files, capsys, text, message):
     # in a run over many files the error line must say which one is bad
     d, _ = puppet_files
-    (d / "bad.obj").write_text(text)
+    # latin-1 writes each character as one byte, so a row can hold one that is not UTF-8
+    (d / "bad.obj").write_bytes(text.encode("latin-1"))
     assert main(["eval", str(d / "rest.obj"), str(d / "bad.obj")]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line == f"error: {d / 'bad.obj'}: {message}"
@@ -343,6 +348,16 @@ def test_matrix_file_that_breaks_its_contract_exits_1(puppet_files, capsys, opti
     assert main(argv + ["--tree", str(d / "tree.json"), option, str(d / "bad.csv")]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line == f"error: {d / 'bad.csv'}: {message}"
+
+
+def test_a_key_error_inside_a_command_propagates(monkeypatch):
+    # no bad input raises KeyError, so one is a bug and must not exit 1
+    def broken(args):
+        raise KeyError("missing entry")
+
+    monkeypatch.setitem(posekit.cli._COMMANDS, "eval", broken)
+    with pytest.raises(KeyError, match="missing entry"):
+        main(["eval", "a.obj", "b.obj"])
 
 
 def test_ik_check(tmp_path, capsys):

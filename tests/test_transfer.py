@@ -18,7 +18,11 @@ from posekit import (
     edge_loss,
     gmm_weights,
     keypoint_loss,
+    load_keypoints,
     load_mesh,
+    load_regressor,
+    load_tree,
+    load_weights,
     make_puppet,
     pmd,
     pose_transfer,
@@ -947,6 +951,41 @@ def test_load_manifest_missing_file(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(FileNotFoundError):
         load_manifest(path)
+
+
+# reader, the kind its missing-file error names, and a text that breaks its
+# rules; the OBJ record error names the file and line itself
+READERS = {
+    "mesh": (load_mesh, "mesh", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3 1\n"),
+    "weights": (load_weights, "weight", "0.6,0.5\n0.5,0.5\n"),
+    "regressor": (load_regressor, "regressor", "1,0,0\n0,0,0\n"),
+    "tree": (load_tree, "tree", '{"parents": [-1, 0.5], "names": ["a", "b"]}'),
+    "keypoints": (load_keypoints, "keypoint", '{"joints": [[0, 0]]}'),
+    "config": (TransferConfig.from_file, "config", '{"tree": '),
+    "manifest": (load_manifest, "manifest", '{"identities": {}, "pairs": 5}'),
+}
+
+
+@pytest.mark.parametrize("case", ["missing", "undecodable", "broken"])
+@pytest.mark.parametrize("reader", list(READERS))
+def test_every_reader_names_the_file(tmp_path, reader, case):
+    read, kind, broken = READERS[reader]
+    path = tmp_path / "input"
+    if case == "missing":
+        with pytest.raises(FileNotFoundError) as info:
+            read(path)
+        assert str(info.value) == f"no such {kind} file: {path}"
+        return
+    if case == "undecodable":
+        path.write_bytes(b"# \xff\n")
+    else:
+        path.write_text(broken)
+    with pytest.raises(ValueError) as info:
+        read(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}:") and message.count(str(path)) == 1
+    if case == "undecodable":
+        assert message.startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_run_manifest_outputs_and_parallel_identity(tmp_path):
