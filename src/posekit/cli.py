@@ -110,13 +110,16 @@ def _cmd_transfer(args) -> int:
     config = _resolve_config(args)
     source = load_mesh(args.source)
     source_kp = load_keypoints(args.source_kp)
-    regressor = load_regressor(args.regressor) if args.regressor else None
+    if not (args.target_kp or args.target and args.regressor):
+        raise ValueError("need --target-kp, or --target together with --regressor")
+    # the regressor reads the target mesh when that supplies the keypoints
+    read = source if args.target_kp else load_mesh(args.target)
+    shape = (config.tree.n_joints, read.n_vertices)
+    regressor = load_regressor(args.regressor, shape) if args.regressor else None
     if args.target_kp:
         target_kp = load_keypoints(args.target_kp)
-    elif args.target and regressor is not None:
-        target_kp = regress_keypoints(load_mesh(args.target), regressor)
     else:
-        raise ValueError("need --target-kp, or --target together with --regressor")
+        target_kp = regress_keypoints(read, regressor)
     result = pose_transfer(source, source_kp, target_kp, config)
     extra = {"refined_edge_loss": edge_loss(source, result.refined)}
     if regressor is not None and regressor.n_vertices == source.n_vertices:

@@ -16,6 +16,7 @@ import numpy as np
 
 EPS_LENGTH = 1e-9
 EPS_PARALLEL = 1e-8
+_EPS_ROUNDING = 1e-12  # a swing angle this small is rounding of parallel directions
 _EYE = np.eye(3)
 _TREES = Path(__file__).with_name("trees")  # the bundled trees, one JSON file each
 
@@ -272,18 +273,18 @@ def load_regressor(path, shape: tuple[int, int] | None = None) -> JointRegressor
     Two layouts are accepted: a dense J x N numeric grid, or a sparse
     triplet file whose first line is the header ``row,col,weight``, with
     nonnegative integer ``row`` and ``col``. For the sparse layout the
-    matrix shape is taken from ``shape`` when given, otherwise from the
-    largest indices present.
+    matrix shape is taken from ``shape`` when given (an index outside it
+    is a parse failure), otherwise from the largest indices present.
     """
     return _from_file(path, "regressor", lambda text: _parse_regressor(text, shape))
 
 
 def _parse_regressor(text: str, shape) -> JointRegressor:
-    rows = [r for r in csv.reader(text.split("\n")) if r and any(c.strip() for c in r)]
-    if not rows:
-        raise ValueError("empty regressor file")
-    header = [c.strip().lower() for c in rows[0]]
     try:
+        rows = [r for r in csv.reader(text.split("\n")) if r and any(c.strip() for c in r)]
+        if not rows:
+            raise ValueError("empty regressor file")
+        header = [c.strip().lower() for c in rows[0]]
         if header == ["row", "col", "weight"]:
             triplets = [(int(r[0]), int(r[1]), float(r[2])) for r in rows[1:]]
             if not triplets:
@@ -300,7 +301,7 @@ def _parse_regressor(text: str, shape) -> JointRegressor:
                 m[r, c] += w
         else:
             m = np.array([[float(c) for c in r] for r in rows], dtype=np.float64)
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, csv.Error, MemoryError) as exc:
         raise ValueError(f"regressor parse failure: {exc}") from exc
     return JointRegressor(m)
 
@@ -454,9 +455,11 @@ def swing_rotation(s, t) -> np.ndarray:
     stacked inputs, (..., 3, 3).
 
     Rodrigues form about the normalized cross product n = (s x t)/|s x t|.
-    When |s x t|/(|s||t|) < 1e-8 the axis is unusable: the identity is
-    returned for the parallel side, and for the antiparallel side a half
-    turn about a deterministic axis perpendicular to s.
+    When |s x t|/(|s||t|) < 1e-8 that axis cannot carry a half turn: s is
+    first turned by 0 (parallel side) or pi (antiparallel side) about a
+    deterministic axis perpendicular to s, then swung by the remaining
+    angle, below 1e-8 rad, onto t; a remainder below 1e-12 rad is
+    rounding and is dropped.
     """
     return _swing(_unit(s, "swing_rotation"), _unit(t, "swing_rotation"))
 
@@ -467,15 +470,19 @@ def _swing(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     sin_a = np.sqrt(_dot(c, c))
     cos_a = _dot(u, w)
     fold = sin_a < EPS_PARALLEL
-    axis = c / np.where(fold, 1.0, sin_a)[..., None]
-    if fold.any():
-        # a fold turns by 0 (parallel) or pi (antiparallel) about u crossed
-        # with the basis vector it is least aligned with, first index wins ties
-        perpendicular = _unit(_cross(u, _EYE[np.argmin(np.abs(u), axis=-1)]), "swing_rotation")
-        axis = np.where(fold[..., None], perpendicular, axis)
-        sin_a = np.where(fold, 0.0, sin_a)
-        cos_a = np.where(fold, np.where(cos_a > 0.0, 1.0, -1.0), cos_a)
-    return _rodrigues(axis, sin_a, cos_a)
+    if not fold.any():
+        return _rodrigues(c / sin_a[..., None], sin_a, cos_a)
+    # a fold first turns by 0 (parallel) or pi (antiparallel) about u crossed
+    # with the basis vector it is least aligned with, first index wins ties;
+    # the rest, under 1e-8 rad, swings that image of u onto w: the short cross
+    # product's axis is rough, but so small an angle makes its error harmless
+    perpendicular = _unit(_cross(u, _EYE[np.argmin(np.abs(u), axis=-1)]), "swing_rotation")
+    flip = fold & (cos_a < 0.0)
+    keep = sin_a >= _EPS_ROUNDING
+    axis = np.where(flip[..., None], -c, c) / np.where(keep, sin_a, 1.0)[..., None]
+    rest_cos = np.where(keep, np.where(flip, -cos_a, cos_a), 1.0)
+    rest = _rodrigues(axis, np.where(keep, sin_a, 0.0), rest_cos)
+    return rest @ _rodrigues(perpendicular, 0.0, np.where(flip, -1.0, 1.0))
 
 
 def twist_rotation(s, phi) -> np.ndarray:

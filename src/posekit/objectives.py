@@ -13,21 +13,13 @@ from .mesh import Mesh, edge_lengths
 
 @dataclass
 class LossWeights:
-    """Scalar weights of the total objective.
+    """Scalar weights of the total objective."""
 
-    Defaults are the animal/puppet preset; lambda_skin = 0.1 suits denser
-    human scan data.
-    """
-
-    lambda_k: float = 2.0
-    lambda_skin: float = 0.4
     lambda_cycle: float = 1.0
     lambda_self: float = 1.0
     lambda_edge: float = 0.0005
     # the loss names, keys of LossBreakdown.to_dict, that from_dict also reads
     aliases = {
-        "keypoint": "lambda_k",
-        "skin": "lambda_skin",
         "cycle": "lambda_cycle",
         "self": "lambda_self",
         "edge": "lambda_edge",
@@ -35,7 +27,7 @@ class LossWeights:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LossWeights":
-        """Read field names (``lambda_k``, ...) or loss names (``keypoint``, ...).
+        """Read field names (``lambda_cycle``, ...) or loss names (``cycle``, ...).
 
         The loss names are the keys of ``LossBreakdown.to_dict``. Each value
         must be a finite, nonnegative number (not a bool): the solver weighs
@@ -55,8 +47,6 @@ class LossBreakdown:
     attribute cannot be called ``self``); its JSON key is "self".
     """
 
-    keypoint: float = 0.0
-    skin: float = 0.0
     cycle: float = 0.0
     self_recon: float = 0.0
     edge: float = 0.0
@@ -71,23 +61,17 @@ class LossBreakdown:
 def total_loss(
     weights: LossWeights,
     *,
-    keypoint: float = 0.0,
-    skin: float = 0.0,
     cycle: float = 0.0,
     self_recon: float = 0.0,
     edge: float = 0.0,
 ) -> LossBreakdown:
     """Weighted sum of the loss components, in fixed term order."""
     total = (
-        weights.lambda_k * keypoint
-        + weights.lambda_skin * skin
-        + weights.lambda_cycle * cycle
+        weights.lambda_cycle * cycle
         + weights.lambda_self * self_recon
         + weights.lambda_edge * edge
     )
     return LossBreakdown(
-        keypoint=float(keypoint),
-        skin=float(skin),
         cycle=float(cycle),
         self_recon=float(self_recon),
         edge=float(edge),

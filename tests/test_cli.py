@@ -81,6 +81,26 @@ def test_transfer_via_target_mesh_and_regressor(puppet_files, capsys):
     assert "keypoint_diagnostic" in payload
 
 
+def test_transfer_via_sparse_regressor_leaves_unnamed_vertices_unweighted(puppet_files, capsys):
+    # the file names vertices 0, 5 and 10 only, so its own largest index
+    # would size it 11 wide against the 274 of the target mesh
+    d, p = puppet_files
+    lines = [f"{j},{v},1.0" for j, v in enumerate([0, 5, 10])]
+    (d / "regressor.csv").write_text("row,col,weight\n" + "\n".join(lines) + "\n")
+    code, payload = run_cli(
+        capsys,
+        "transfer",
+        "--source", str(d / "rest.obj"),
+        "--source-kp", str(d / "rest_kp.json"),
+        "--target", str(d / "posed.obj"),
+        "--regressor", str(d / "regressor.csv"),
+        "--tree", str(d / "tree.json"),
+        "--out", str(d / "out"),
+    )
+    assert code == 0
+    assert "keypoint_diagnostic" in payload
+
+
 def test_transfer_requires_some_target(puppet_files, capsys):
     d, _ = puppet_files
     code, _ = run_cli(
@@ -195,6 +215,7 @@ def test_transfer_config_typo_exits_1(puppet_files, capsys):
         ({"gmm": {"radii": [HUGE_INT, 0.5]}}, "gmm.radii must be finite and positive"),
         ({"optimiser": {"max_iters": 3}}, "unknown config keys: ['optimiser']"),
         ({"seed": 0, "refine": {}}, "unknown config keys: ['refine', 'seed']"),
+        ({"loss_weights": {"keypoint": 2.0}}, "unknown loss_weights keys: ['keypoint']"),
     ],
 )
 def test_transfer_bad_config_value_exits_1(puppet_files, capsys, block, message):
@@ -333,8 +354,26 @@ def test_eval_mesh_that_breaks_the_mesh_contract_exits_1(puppet_files, capsys, t
         ("--compare", "0.6,0.5\n0.5,0.5\n", "weight rows must sum to 1 (off by 1.000e-01)"),
         ("--regressor", "1,0,0\n0,0,0\n", "regressor has a zero row"),
         ("--regressor", "1,0,0\nnan,1,0\n", "regressor entries must be finite and nonnegative"),
+        # sized to the 3 joints and 274 vertices of the target mesh, not to the index
+        (
+            "--regressor",
+            "row,col,weight\n0,1000000000000,1.0\n",
+            "regressor parse failure: index 1000000000000 is out of bounds for axis 1 with size 274",
+        ),
+        (
+            "--regressor",
+            "1," + "0" * 200000 + "\n",
+            "regressor parse failure: field larger than field limit (131072)",
+        ),
     ],
-    ids=["nan_weight", "weight_row_sum", "zero_regressor_row", "nan_regressor_entry"],
+    ids=[
+        "nan_weight",
+        "weight_row_sum",
+        "zero_regressor_row",
+        "nan_regressor_entry",
+        "huge_sparse_index",
+        "overlong_field",
+    ],
 )
 def test_matrix_file_that_breaks_its_contract_exits_1(puppet_files, capsys, option, text, message):
     d, _ = puppet_files

@@ -203,6 +203,14 @@ def test_load_regressor_sparse_rejects_negative_indices(tmp_path):
                 load_regressor(p, shape)
 
 
+def test_load_regressor_sparse_too_large_to_allocate_is_a_parse_failure(tmp_path):
+    # 2**58 columns of float64 are 2 EiB, more than any address space maps
+    p = tmp_path / "r.csv"
+    p.write_text(f"row,col,weight\n0,{2**58},1.0\n")
+    with pytest.raises(ValueError, match=r"regressor parse failure: Unable to allocate"):
+        load_regressor(p)
+
+
 # -- losses on keypoints --
 
 
@@ -278,6 +286,22 @@ def test_swing_antiparallel_half_turn():
         assert_rotation(R)
         sh = s / np.linalg.norm(s)
         assert np.allclose(R @ sh, -sh, atol=1e-9)
+
+
+def test_swing_maps_directions_inside_the_parallel_threshold():
+    # 5e-9 rad off parallel or antiparallel, inside swing_rotation's 1e-8
+    # threshold: the rotation still lands on t, not 5e-9 rad short of it
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        s = rng.normal(size=3)
+        sh = s / np.linalg.norm(s)
+        perp = np.cross(sh, rng.normal(size=3))
+        perp /= np.linalg.norm(perp)
+        for sign in (1.0, -1.0):
+            t = sign * np.cos(5e-9) * sh + np.sin(5e-9) * perp
+            R = swing_rotation(s, t)
+            assert_rotation(R)
+            assert np.max(np.abs(R @ sh - t)) <= 1e-12
 
 
 def test_swing_rejects_zero_vector():

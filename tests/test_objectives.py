@@ -23,12 +23,11 @@ def path_mesh(coords):
 
 def test_loss_weights_defaults():
     w = LossWeights()
-    assert (w.lambda_k, w.lambda_skin) == (2.0, 0.4)
     assert (w.lambda_cycle, w.lambda_self, w.lambda_edge) == (1.0, 1.0, 0.0005)
 
 
 def test_loss_weights_dict_round_trip():
-    w = LossWeights(lambda_k=3.0)
+    w = LossWeights(lambda_cycle=3.0)
     assert LossWeights.from_dict(w.to_dict()) == w
     with pytest.raises(ValueError, match="unknown"):
         LossWeights.from_dict({"lambda_q": 1.0})
@@ -36,10 +35,8 @@ def test_loss_weights_dict_round_trip():
 
 def test_loss_weights_accept_loss_names():
     # the names of LossBreakdown.to_dict, as written in losses.jsonl
-    w = LossWeights.from_dict(
-        {"keypoint": 3.0, "skin": 0.1, "cycle": 0.5, "self": 2.0, "edge": 0.25}
-    )
-    assert w == LossWeights(3.0, 0.1, 0.5, 2.0, 0.25)
+    w = LossWeights.from_dict({"cycle": 0.5, "self": 2.0, "edge": 0.25})
+    assert w == LossWeights(0.5, 2.0, 0.25)
     assert LossWeights.from_dict({"self": 2.0, "lambda_edge": 0.5}) == LossWeights(
         lambda_self=2.0, lambda_edge=0.5
     )
@@ -47,27 +44,29 @@ def test_loss_weights_accept_loss_names():
         LossWeights.from_dict({"edge": 1.0, "lambda_edge": 1.0})
     with pytest.raises(ValueError, match=r"\['total'\]"):
         LossWeights.from_dict({"total": 1.0})
+    # the paper's keypoint and skinning terms have no weight here
+    for key in ("keypoint", "skin", "lambda_k", "lambda_skin"):
+        with pytest.raises(ValueError, match=rf"unknown loss_weights keys: \['{key}'\]"):
+            LossWeights.from_dict({key: 1.0})
 
 
 def test_total_loss_default_weights_unit_components():
-    # 2 + 0.4 + 1 + 1 + 0.0005, summed left to right
-    out = total_loss(
-        LossWeights(), keypoint=1.0, skin=1.0, cycle=1.0, self_recon=1.0, edge=1.0
-    )
-    assert out.total == 4.4005
+    # 1 + 1 + 0.0005, summed left to right
+    out = total_loss(LossWeights(), cycle=1.0, self_recon=1.0, edge=1.0)
+    assert out.total == 2.0005
 
 
 def test_total_loss_zero_components():
     out = total_loss(LossWeights())
     assert out.total == 0.0
-    assert out.keypoint == 0.0
+    assert out.cycle == 0.0
 
 
 def test_breakdown_json_key_for_self():
     d = LossBreakdown(self_recon=0.5, total=0.5).to_dict()
     assert d["self"] == 0.5
     assert "self_recon" not in d
-    assert set(d) == {"keypoint", "skin", "cycle", "self", "edge", "total"}
+    assert set(d) == {"cycle", "self", "edge", "total"}
 
 
 def test_edge_discrepancy_hand_value():

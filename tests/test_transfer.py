@@ -1,3 +1,4 @@
+import functools
 import json
 from pathlib import Path
 
@@ -1230,6 +1231,73 @@ def test_underflowing_radii_reject_the_step(monkeypatch):
     assert all(b < a for a, b in zip(totals, totals[1:]))
 
 
+# one value per config key, each away from its default
+CONFIG_KEY_VALUES = {
+    ("loss_weights", "lambda_cycle"): 3.0,
+    ("loss_weights", "lambda_self"): 3.0,
+    ("loss_weights", "lambda_edge"): 0.01,
+    ("gmm", "temperature"): 3.0,
+    ("gmm", "radii"): [0.4, 0.4],
+    ("gmm", "optimize_radii"): True,
+    ("optimizer", "max_iters"): 2,
+    ("optimizer", "step_size"): 0.1,
+    ("optimizer", "tolerance"): 1e-3,
+    ("refinement", "enabled"): False,
+    ("refinement", "ridge"): 1e-3,
+    ("refinement", "max_iters"): 1,
+    ("refinement", "step_size"): 1e-3,
+}
+CONFIG_KEYS = [
+    (block, key)
+    for block, values in TransferConfig(bundled_tree("smpl_24")).to_dict().items()
+    if block != "tree"
+    for key in values
+]
+RUN_OUTPUTS = ("coarse", "refined", "twists", "losses", "stop_reason", "cycle_error")
+
+
+@functools.cache
+def config_run_outputs(block=None, key=None):
+    """A supervised transfer's and a cycle reconstruction's outputs under the
+    default config, with ``block.key`` set to its CONFIG_KEY_VALUES value."""
+    # blend weights sharper than the GMM's, so radii and temperature matter
+    p = make_puppet(2, 0.6, 0.4, 0, blend_temperature=4.0)
+    data = {"tree": p.tree.to_dict()}
+    if block is not None:
+        data[block] = {key: CONFIG_KEY_VALUES[block, key]}
+    cfg = TransferConfig.from_dict(data)
+    res = pose_transfer(
+        p.rest_mesh, p.rest_keypoints, p.posed_keypoints, cfg, target_mesh=p.posed_mesh
+    )
+    pa = make_puppet(2, np.pi / 3, np.pi / 4, seed=0, radius=0.25)
+    pb_t = make_puppet(2, np.pi / 3, np.pi / 4, seed=7, radius=0.3)
+    pb_3 = make_puppet(2, np.pi / 6, 0.0, seed=7, radius=0.3)
+    err = cycle_reconstruct(
+        pa.rest_mesh,
+        pa.rest_keypoints,
+        pb_t.posed_mesh,
+        pb_t.posed_keypoints,
+        pb_3.posed_mesh,
+        pb_3.posed_keypoints,
+        cfg,
+    )
+    return (
+        res.coarse.vertices.tobytes(),
+        res.refined.vertices.tobytes(),
+        res.twists.phi.tobytes(),
+        [b.to_dict() for b in res.losses],
+        res.stop_reason,
+        err,
+    )
+
+
+@pytest.mark.parametrize("block, key", CONFIG_KEYS, ids=[f"{b}.{k}" for b, k in CONFIG_KEYS])
+def test_every_config_key_moves_an_output(block, key):
+    # a key that moves none of these is a knob that does nothing
+    changed, default = config_run_outputs(block, key), config_run_outputs()
+    assert [name for name, a, b in zip(RUN_OUTPUTS, changed, default) if a != b]
+
+
 def test_config_rejects_unknown_block_keys():
     for block in ("optimizer", "refinement", "gmm"):
         with pytest.raises(ValueError, match=rf"unknown {block} keys: \['max_iter'\]"):
@@ -1263,7 +1331,7 @@ HUGE_INT = int("9" * 400)
         ({"loss_weights": {"edge": -1.0}}, "loss_weights.edge", "finite nonnegative"),
         ({"loss_weights": {"lambda_self": True}}, "loss_weights.lambda_self", "a finite"),
         ({"loss_weights": {"cycle": float("inf")}}, "loss_weights.cycle", "a finite"),
-        ({"loss_weights": {"skin": None}}, "loss_weights.skin", "a finite"),
+        ({"loss_weights": {"self": None}}, "loss_weights.self", "a finite"),
         ({"optimizer": 5}, "optimizer", "a JSON object"),
         ({"loss_weights": 5}, "loss_weights", "a JSON object"),
         ({"gmm": [1.0]}, "gmm", "a JSON object"),
