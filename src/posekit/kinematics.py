@@ -272,9 +272,9 @@ def load_regressor(path, shape: tuple[int, int] | None = None) -> JointRegressor
 
     Two layouts are accepted: a dense J x N numeric grid, or a sparse
     triplet file whose first line is the header ``row,col,weight``, with
-    nonnegative integer ``row`` and ``col``. For the sparse layout the
-    matrix shape is taken from ``shape`` when given (an index outside it
-    is a parse failure), otherwise from the largest indices present.
+    nonnegative integer ``row`` and ``col``. When ``shape`` is given, a
+    dense grid of another shape or a sparse index outside it is a parse
+    failure; otherwise a sparse matrix is sized by its largest indices.
     """
     return _from_file(path, "regressor", lambda text: _parse_regressor(text, shape))
 
@@ -303,7 +303,10 @@ def _parse_regressor(text: str, shape) -> JointRegressor:
             m = np.array([[float(c) for c in r] for r in rows], dtype=np.float64)
     except (ValueError, IndexError, csv.Error, MemoryError) as exc:
         raise ValueError(f"regressor parse failure: {exc}") from exc
-    return JointRegressor(m)
+    regressor = JointRegressor(m)
+    if shape is not None and m.shape != tuple(shape):  # a dense grid of another shape
+        raise ValueError(f"regressor parse failure: dense matrix is {m.shape}, not {shape}")
+    return regressor
 
 
 @dataclass

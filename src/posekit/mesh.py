@@ -102,50 +102,55 @@ def load_mesh(path) -> Mesh:
             message names the file.
     """
     path = Path(path)
-    return _from_file(path, "mesh", lambda text: _parse_obj(text, path))
+    return _from_file(path, "mesh", lambda text: Mesh(*_parse_obj(text, path)))
 
 
-def _parse_obj(text: str, path: Path) -> Mesh:
-    verts: list[list[float]] = []
-    face_refs: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if tokens[0] == "v":
+def _parse_obj(text: str, path: Path) -> tuple[np.ndarray, np.ndarray]:
+    # All coordinates and all face indices are converted at once. Only a
+    # failure reads the lines again, to report the first bad one: a malformed
+    # ``v`` record or a face that is not a triangle, in line order; then a bad
+    # index, in face order. Returning arrays, not a Mesh, frees the tokens first.
+    lines = [raw.split() for raw in text.splitlines()]
+    kinds = [t[0] for t in lines if t]
+    n = kinds.count("v")
+    try:
+        coords = [c for t in lines if t and t[0] == "v" for c in t[1:4]]
+        refs = [r for t in lines if t and t[0] == "f" and len(t) == 4 for r in t[1:]]
+        xyz = np.fromiter(map(float, coords), np.float64, len(coords))
+        heads = (r.split("/")[0] for r in refs)
+        idx = np.fromiter(map(int, heads), np.int64, len(refs)).reshape(-1, 3)
+        ok = xyz.size == 3 * n and len(idx) == kinds.count("f")
+        ok = ok and ((idx >= 1) & (idx <= n)).all()
+    except (ValueError, OverflowError):  # OverflowError: an index past int64
+        ok = False
+    if not ok:
+        for lineno, tokens in enumerate(lines, start=1):
             try:
-                x, y, z = map(float, tokens[1:4])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed vertex record") from exc
-            verts.append([x, y, z])
-        elif tokens[0] == "f":
-            if len(tokens) != 4:
+                if tokens[:1] == ["v"]:
+                    x, y, z = map(float, tokens[1:4])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed vertex record") from None
+            if tokens[:1] == ["f"] and len(tokens) != 4:
                 raise ValueError(f"{path}:{lineno}: face is not a triangle")
-            face_refs.append((lineno, tokens[1:]))
-    faces = np.zeros((len(face_refs), 3), dtype=np.int64)
-    n = len(verts)
-    for row, (lineno, refs) in enumerate(face_refs):
-        for col, ref in enumerate(refs):
-            head = ref.split("/")[0]
-            try:
-                idx = int(head)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed face record") from exc
-            if idx < 1 or idx > n:
-                raise ValueError(f"{path}:{lineno}: face index {idx} out of range")
-            faces[row, col] = idx - 1
-    if not verts:
+        for lineno, tokens in enumerate(lines, start=1):
+            for ref in tokens[1:] if tokens[:1] == ["f"] else ():
+                try:
+                    i = int(ref.split("/")[0])
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: malformed face record") from None
+                if i < 1 or i > n:
+                    raise ValueError(f"{path}:{lineno}: face index {i} out of range")
+    if not n:
         raise ValueError("no vertices")
-    return Mesh(np.array(verts, dtype=np.float64), faces)
+    return xyz.reshape(-1, 3), idx - 1
 
 
 def save_mesh(mesh: Mesh, path) -> None:
     """Write a mesh as OBJ. Vertices round-trip exactly (repr precision)."""
     mesh.validate()
-    lines = ["v %r %r %r" % tuple(row) for row in mesh.vertices.tolist()]
-    lines += ["f %d %d %d" % tuple(row) for row in (mesh.faces + 1).tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    v, f = mesh.vertices, mesh.faces + 1
+    text = "v %r %r %r\n" * len(v) % tuple(v.ravel().tolist())
+    Path(path).write_text(text + "f %d %d %d\n" * len(f) % tuple(f.ravel().tolist()))
 
 
 def _as_points(x) -> np.ndarray:

@@ -133,9 +133,8 @@ def _edge_term_gradient(
 ) -> np.ndarray:
     """Gradient of ``edge_term``'s value in the deformed vertex positions."""
     d = np.asarray(deformed_vertices, dtype=np.float64)
-    grad = np.zeros_like(d)
     if edges.shape[0] == 0:
-        return grad
+        return np.zeros_like(d)
     i, j = edges[:, 0], edges[:, 1]
     dv = d[i] - d[j]
     ld = np.linalg.norm(dv, axis=1)
@@ -144,9 +143,10 @@ def _edge_term_gradient(
     safe = np.where(ld > 0, ld, 1.0)
     coef = np.where(ld > 0, 2.0 * (ld - rest_lengths) / (edges.shape[0] * safe), 0.0)
     contrib = coef[:, None] * dv
-    np.add.at(grad, i, contrib)
-    np.add.at(grad, j, -contrib)
-    return grad
+    # bincount adds in array order: each vertex sums its i-end terms, then its j-end terms
+    ends = np.concatenate([i, j])
+    sums = [np.bincount(ends, np.concatenate([c, -c]), d.shape[0]) for c in contrib.T]
+    return np.stack(sums, axis=1)
 
 
 def numerical_gradient(

@@ -70,7 +70,8 @@ def save_weights(weights: SkinningMatrix, path) -> None:
 
 
 def _weights_csv(weights: SkinningMatrix) -> str:
-    return "\n".join(",".join(map(repr, row)) for row in weights.weights.tolist()) + "\n"
+    w = weights.weights  # a matrix with no rows is still written as one "\n"
+    return (",".join(["%r"] * w.shape[1]) + "\n") * len(w) % tuple(w.ravel().tolist()) or "\n"
 
 
 def load_weights(path) -> SkinningMatrix:

@@ -365,6 +365,12 @@ def test_eval_mesh_that_breaks_the_mesh_contract_exits_1(puppet_files, capsys, t
             "1," + "0" * 200000 + "\n",
             "regressor parse failure: field larger than field limit (131072)",
         ),
+        # a dense grid must have the shape a sparse file is sized to
+        (
+            "--regressor",
+            "1,0,0,0,0\n0,1,0,0,0\n0,0,1,0,0\n",
+            "regressor parse failure: dense matrix is (3, 5), not (3, 274)",
+        ),
     ],
     ids=[
         "nan_weight",
@@ -373,6 +379,7 @@ def test_eval_mesh_that_breaks_the_mesh_contract_exits_1(puppet_files, capsys, t
         "nan_regressor_entry",
         "huge_sparse_index",
         "overlong_field",
+        "dense_shape_mismatch",
     ],
 )
 def test_matrix_file_that_breaks_its_contract_exits_1(puppet_files, capsys, option, text, message):
@@ -387,6 +394,20 @@ def test_matrix_file_that_breaks_its_contract_exits_1(puppet_files, capsys, opti
     assert main(argv + ["--tree", str(d / "tree.json"), option, str(d / "bad.csv")]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line == f"error: {d / 'bad.csv'}: {message}"
+
+
+def test_dense_regressor_of_another_shape_beside_target_keypoints_exits_1(puppet_files, capsys):
+    # the regressor only scores the source here, so a wrong shape must still exit 1
+    d, _ = puppet_files
+    (d / "r.csv").write_text("1,0,0,0,0\n0,1,0,0,0\n0,0,1,0,0\n")
+    argv = ["transfer", "--source", str(d / "rest.obj"), "--source-kp", str(d / "rest_kp.json"),
+            "--target-kp", str(d / "posed_kp.json"), "--tree", str(d / "tree.json"),
+            "--regressor", str(d / "r.csv"), "--out", str(d / "out")]
+    assert main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    message = "regressor parse failure: dense matrix is (3, 5), not (3, 274)"
+    assert line == f"error: {d / 'r.csv'}: {message}"
+    assert not (d / "out").exists()
 
 
 def test_a_key_error_inside_a_command_propagates(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -213,6 +214,112 @@ def test_obj_rejects_malformed_vertex(tmp_path):
 def test_obj_missing_file():
     with pytest.raises(OSError):
         load_mesh("/nonexistent/nope.obj")
+
+
+# Finite float64s with awkward reprs: subnormals, signed zeros, exponent
+# notation, the largest finite value, and integers up to 2**53.
+io_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**53), 2**53).map(float),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e16, 2.0**53, sys.float_info.max]),
+)
+
+
+def per_row_obj(mesh):
+    """OBJ text as one ``%`` per row, the reference for the bulk writer."""
+    lines = ["v %r %r %r" % tuple(row) for row in mesh.vertices.tolist()]
+    lines += ["f %d %d %d" % tuple(row) for row in (mesh.faces + 1).tolist()]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def obj_meshes(draw):
+    """1-20 drawn vertices, then a strip of fixed, distinct vertices that the
+    faces use, so no drawn value can make a zero-length edge."""
+    rows = draw(st.lists(st.lists(io_floats, min_size=3, max_size=3), min_size=1, max_size=20))
+    strip = draw(st.sampled_from([0, 3, 4, 9]))
+    fixed = [[float(i), float(i * i), -1.0] for i in range(strip)]
+    faces = [[len(rows) + i, len(rows) + i + 2, len(rows) + i + 1] for i in range(strip - 2)]
+    return Mesh(np.array(rows + fixed), np.array(faces, dtype=np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj_meshes())
+def test_save_mesh_writes_the_per_row_text_and_load_mesh_reads_the_same_bits(
+    tmp_path_factory, mesh
+):
+    path = tmp_path_factory.getbasetemp() / "drawn.obj"
+    save_mesh(mesh, path)
+    assert path.read_text() == per_row_obj(mesh)
+    back = load_mesh(path)
+    assert back.vertices.tobytes() == mesh.vertices.tobytes()  # -0.0 included
+    assert np.array_equal(back.faces, mesh.faces)
+
+
+TRI = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+UNIT = ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[0, 1, 2]])
+# (text, the mesh's vertices and faces, or the error message); the first bad
+# record is a bad ``v`` or a non-triangle face in line order, then a bad index
+# in face order
+OBJ_TABLE = {
+    "crlf": ("v 0 0 0\r\nv 1 0 0\r\nv 0 1 0\r\nf 1 2 3\r\n", UNIT),
+    "blank_comment_indented": (
+        "# head\n\n   v 0 0 0\n\tv 1 0 0\nv 0 1 0  \n  # v 9 9 9\n f 1 2 3\n", UNIT
+    ),
+    "v_with_4plus_numbers": ("v 0 0 0 1\nv 1 0 0 1 0.5\nv 0 1 0 abc\nf 1 2 3\n", UNIT),
+    "slash_refs": (TRI + "f 1/2/3 2//1 3/1\n", UNIT),
+    "vn_vt_o": ("o thing\n" + TRI + "vt 0 0\nvn 0 0 1\nV 5 5 5\nf 1 2 3\n", UNIT),
+    "underscore_numbers": (
+        "v 1_0 0 0\nv 0 0 0\nv 0 1_5 0\nf 0_1 +2 3\n",
+        ([[10.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 15.0, 0.0]], [[0, 1, 2]]),
+    ),
+    "form_feed_splits_lines": (
+        "v 0 0 0\x0cv 1 0 0\nv 0 1 0\nf 1 2 x\n", "{path}:4: malformed face record"
+    ),
+    "huge_coordinate": (
+        "v 1e400 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", "{path}: vertex coordinates must be finite"
+    ),
+    "no_vertices": ("# nothing\n", "{path}: no vertices"),
+    "faces_without_vertices": ("f 1 2 3\n", "{path}:1: face index 1 out of range"),
+    "empty_v": (TRI + "v\nf 1 2 3\n", "{path}:4: malformed vertex record"),
+    "two_number_v": ("v 0 0\nf 1 1 1\n", "{path}:1: malformed vertex record"),
+    "face_of_two": (TRI + "f 1 2\n", "{path}:4: face is not a triangle"),
+    "face_with_trailing_comment": (TRI + "f 1 2 3 # c\n", "{path}:4: face is not a triangle"),
+    "fractional_index": (TRI + "f 1.0 2 3\n", "{path}:4: malformed face record"),
+    "zero_index": (TRI + "f 0 1 2\n", "{path}:4: face index 0 out of range"),
+    "negative_index": (TRI + "f -1 2 3\n", "{path}:4: face index -1 out of range"),
+    "index_past_int64": (
+        TRI + "f 1 2 99999999999999999999999\n",
+        "{path}:4: face index 99999999999999999999999 out of range",
+    ),
+    "repeated_vertex": (TRI + "f 1 1 2\n", "{path}: face repeats a vertex"),
+    "bad_vertex_before_quad": (
+        "v 0 0 0\nv 1 0 0\nv 0 x 0\nv 0 1 0\n# c\n\nf 1 2 3 4\n",
+        "{path}:3: malformed vertex record",
+    ),
+    "quad_before_bad_vertex": (TRI + "f 1 2 3 4\nv 0 0\n", "{path}:4: face is not a triangle"),
+    "bad_index_before_bad_vertex": (
+        "f 1 2 9\n" + TRI + "v 1 1\n", "{path}:5: malformed vertex record"
+    ),
+    "range_before_later_malformed": (
+        TRI + "v 1 1 0\nf 1 2 9\nf x 2 3\n", "{path}:5: face index 9 out of range"
+    ),
+    "malformed_before_range_in_one_face": (TRI + "f 1 x 99\n", "{path}:4: malformed face record"),
+    "quad_after_bad_index": (TRI + "f 1 2 7\nf 1 2 3 4\n", "{path}:5: face is not a triangle"),
+}
+
+
+@pytest.mark.parametrize("text, expected", OBJ_TABLE.values(), ids=OBJ_TABLE.keys())
+def test_load_mesh_table(tmp_path, text, expected):
+    path = tmp_path / "m.obj"
+    path.write_bytes(text.encode())
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as info:
+            load_mesh(path)
+        assert str(info.value) == expected.format(path=path)
+    else:
+        m = load_mesh(path)
+        assert m.vertices.tolist() == expected[0] and m.faces.tolist() == expected[1]
 
 
 # -- metrics --

@@ -10,8 +10,10 @@ from posekit import (
     edge_loss,
     edge_term,
     numerical_gradient,
+    make_puppet,
     total_loss,
 )
+from posekit.objectives import _edge_term_gradient
 from test_kinematics import random_rotation
 
 
@@ -163,6 +165,47 @@ def test_edge_gradient_collapsed_edge_finite():
     g = edge_discrepancy_gradient(s, d, np.array([[0, 1]]))
     assert np.isfinite(g).all()
     assert np.array_equal(g, np.zeros((2, 3)))
+
+
+def add_at_edge_gradient(d, edges, rest):
+    """``_edge_term_gradient`` summed by np.add.at over i, then j: the reference
+    its bincount sums must equal bit for bit."""
+    grad = np.zeros_like(d)
+    if edges.shape[0] == 0:
+        return grad
+    i, j = edges[:, 0], edges[:, 1]
+    dv = d[i] - d[j]
+    ld = np.linalg.norm(dv, axis=1)
+    safe = np.where(ld > 0, ld, 1.0)
+    coef = np.where(ld > 0, 2.0 * (ld - rest) / (edges.shape[0] * safe), 0.0)
+    contrib = coef[:, None] * dv
+    np.add.at(grad, i, contrib)
+    np.add.at(grad, j, -contrib)
+    return grad
+
+
+def gradient_cases():
+    rng = np.random.default_rng(5)
+    puppet = make_puppet(2, 0.4, 0.2, seed=1).posed_mesh
+    for k in range(10):  # a mesh's sorted edges, perturbed vertices
+        d = puppet.vertices + rng.normal(scale=0.05, size=puppet.vertices.shape)
+        yield pytest.param(d, puppet.edges, id=f"puppet_{k}")
+    for k in range(10):  # repeated edges in any order, over few vertices
+        d = rng.normal(size=(12, 3))
+        yield pytest.param(d, rng.integers(0, 12, size=(40, 2)), id=f"random_edges_{k}")
+    d = rng.normal(size=(4, 3))
+    d[2] = d[1]
+    collapsed = np.array([[0, 1], [1, 2], [2, 3], [3, 3]])
+    yield pytest.param(d, collapsed, id="two_collapsed_edges")
+    yield pytest.param(d, np.zeros((0, 2), dtype=np.int64), id="no_edges")
+
+
+@pytest.mark.parametrize("d, edges", gradient_cases())
+def test_edge_term_gradient_equals_the_add_at_sums(d, edges):
+    rest = np.random.default_rng(0).uniform(0.01, 1.0, size=edges.shape[0])
+    got = _edge_term_gradient(d, edges, rest)
+    ref = add_at_edge_gradient(d, edges, rest)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 def test_numerical_gradient_quadratic():

@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posekit import (
     BoneTransformSet,
@@ -18,7 +22,9 @@ from posekit import (
     save_weights,
     skinning_loss,
 )
+from posekit.skinning import _weights_csv
 from test_kinematics import random_rotation
+from test_mesh import io_floats
 
 
 def square_mesh():
@@ -89,6 +95,23 @@ def test_weights_golden_bytes(tmp_path):
         b"0.7,0.30000000000000004\n"
     )
     assert load_weights(tmp_path / "w.csv").weights.tobytes() == w.weights.tobytes()
+
+
+@st.composite
+def float_grids(draw):
+    """Up to 20 rows of 0-6 drawn floats."""
+    k = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(io_floats, min_size=k, max_size=k), max_size=20))
+    return np.array(rows, dtype=np.float64).reshape(len(rows), k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_grids())
+def test_weights_csv_is_the_per_row_text(w):
+    # the format reads only .weights, not the weight contract, so any finite
+    # values and shapes test it
+    expected = "\n".join(",".join(map(repr, row)) for row in w.tolist()) + "\n"
+    assert _weights_csv(SimpleNamespace(weights=w)) == expected
 
 
 def test_bone_centers_and_radii():
