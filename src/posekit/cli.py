@@ -52,8 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transfer", help="pose a source mesh onto target keypoints")
     p.add_argument("--source", required=True, help="source mesh OBJ")
     p.add_argument("--source-kp", required=True, help="source keypoints JSON")
-    p.add_argument("--target-kp", help="target keypoints JSON")
-    p.add_argument("--target", help="target mesh OBJ (keypoints via --regressor)")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--target-kp", help="target keypoints JSON")
+    target.add_argument("--target", help="target mesh OBJ (keypoints via --regressor)")
     p.add_argument("--regressor", help="joint regressor CSV")
     p.add_argument("--tree", help="kinematic tree JSON or bundled name")
     p.add_argument("--config", help="config JSON")
@@ -95,15 +96,14 @@ def _load_tree_arg(spec: str):
 
 
 def _resolve_config(args) -> TransferConfig:
+    """The run's config: ``--tree`` replaces a ``--config`` file's tree
+    before that file's rules are checked against it."""
+    tree = _load_tree_arg(args.tree) if getattr(args, "tree", None) else None
     if args.config:
-        config = TransferConfig.from_file(args.config)
-        if getattr(args, "tree", None):
-            config.tree = _load_tree_arg(args.tree)
-    elif getattr(args, "tree", None):
-        config = TransferConfig(tree=_load_tree_arg(args.tree))
-    else:
+        return TransferConfig.from_file(args.config, tree=tree)
+    if tree is None:
         raise ValueError("either --config or --tree is required")
-    return config
+    return TransferConfig(tree=tree)
 
 
 def _cmd_transfer(args) -> int:

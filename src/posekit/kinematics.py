@@ -115,7 +115,7 @@ def _settings(cls, block: str, data):
     as float in a float field. A class with ``aliases`` for its field names
     (``LossWeights``) holds weights: every value must be a number of at
     least 0. ``max_iters``, ``tolerance`` and ``ridge`` must be at least 0,
-    ``step_size`` above 0.
+    ``step_size`` and ``temperature`` above 0.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{block} must be a JSON object, not {data!r}")
@@ -140,8 +140,9 @@ def _settings(cls, block: str, data):
     for key in ("max_iters", "tolerance", "ridge"):
         if kwargs.get(key, 0) < 0:
             raise ValueError(f"{block}.{key} must be nonnegative")
-    if not kwargs.get("step_size", 1.0) > 0:
-        raise ValueError(f"{block}.step_size must be positive")
+    for key in ("step_size", "temperature"):
+        if not kwargs.get(key, 1.0) > 0:
+            raise ValueError(f"{block}.{key} must be positive")
     return cls(**kwargs)
 
 
@@ -279,30 +280,41 @@ def load_regressor(path, shape: tuple[int, int] | None = None) -> JointRegressor
     return _from_file(path, "regressor", lambda text: _parse_regressor(text, shape))
 
 
-def _parse_regressor(text: str, shape) -> JointRegressor:
+def _dense(rows) -> np.ndarray:
+    """The numeric grid of CSV rows: one syntax for weights and dense regressors."""
+    return np.array([[float(c) for c in r] for r in rows], dtype=np.float64)
+
+
+def _read_csv(text: str, kind: str, parse=_dense):
+    """``parse`` of the nonblank CSV rows of a ``kind`` file's ``text``; an
+    empty file, or a failure to read or convert, is a ``<kind> parse failure``."""
     try:
         rows = [r for r in csv.reader(text.split("\n")) if r and any(c.strip() for c in r)]
         if not rows:
-            raise ValueError("empty regressor file")
-        header = [c.strip().lower() for c in rows[0]]
-        if header == ["row", "col", "weight"]:
-            triplets = [(int(r[0]), int(r[1]), float(r[2])) for r in rows[1:]]
-            if not triplets:
-                raise ValueError("no triplets")
-            if min(min(t[:2]) for t in triplets) < 0:
-                raise ValueError("row and col must be nonnegative")
-            if shape is None:
-                shape = (
-                    max(t[0] for t in triplets) + 1,
-                    max(t[1] for t in triplets) + 1,
-                )
-            m = np.zeros(shape, dtype=np.float64)
-            for r, c, w in triplets:
-                m[r, c] += w
-        else:
-            m = np.array([[float(c) for c in r] for r in rows], dtype=np.float64)
+            raise ValueError(f"empty {kind} file")
+        return parse(rows)
     except (ValueError, IndexError, csv.Error, MemoryError) as exc:
-        raise ValueError(f"regressor parse failure: {exc}") from exc
+        raise ValueError(f"{kind} parse failure: {exc}") from exc
+
+
+def _parse_regressor(text: str, shape) -> JointRegressor:
+    def parse(rows):
+        if [c.strip().lower() for c in rows[0]] != ["row", "col", "weight"]:
+            return _dense(rows)
+        triplets = [(int(r[0]), int(r[1]), float(r[2])) for r in rows[1:]]
+        if not triplets:
+            raise ValueError("no triplets")
+        if min(min(t[:2]) for t in triplets) < 0:
+            raise ValueError("row and col must be nonnegative")
+        if shape is None:  # sized by the largest indices
+            m = np.zeros([max(t[i] for t in triplets) + 1 for i in (0, 1)])
+        else:
+            m = np.zeros(shape)
+        for r, c, w in triplets:
+            m[r, c] += w
+        return m
+
+    m = _read_csv(text, "regressor", parse)
     regressor = JointRegressor(m)
     if shape is not None and m.shape != tuple(shape):  # a dense grid of another shape
         raise ValueError(f"regressor parse failure: dense matrix is {m.shape}, not {shape}")

@@ -53,12 +53,8 @@ class Mesh:
             degen = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2])
             if degen.any():
                 raise ValueError("face repeats a vertex")
-        if self.edges.size:
-            lengths = np.linalg.norm(
-                v[self.edges[:, 0]] - v[self.edges[:, 1]], axis=1
-            )
-            if (lengths == 0.0).any():
-                raise ValueError("zero-length edge")
+        if (_lengths(v, self.edges) == 0.0).any():
+            raise ValueError("zero-length edge")
 
     def copy(self) -> "Mesh":
         return self.with_vertices(self.vertices.copy())
@@ -195,11 +191,12 @@ def chamfer(a, b) -> float:
 
 def edge_lengths(mesh: Mesh) -> np.ndarray:
     """Lengths of the undirected edges, in the mesh's canonical edge order."""
-    if mesh.edges.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    return np.linalg.norm(
-        mesh.vertices[mesh.edges[:, 0]] - mesh.vertices[mesh.edges[:, 1]], axis=1
-    )
+    return _lengths(mesh.vertices, mesh.edges)
+
+
+def _lengths(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Lengths of the (E, 2) vertex index pairs ``edges``; the one edge-length formula."""
+    return np.linalg.norm(vertices[edges[:, 0]] - vertices[edges[:, 1]], axis=1)
 
 
 @dataclass

@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from .kinematics import _settings
-from .mesh import Mesh, edge_lengths
+from .mesh import Mesh, _lengths, edge_lengths
 
 
 @dataclass
@@ -77,10 +77,6 @@ def total_loss(
         edge=float(edge),
         total=float(total),
     )
-
-
-def _lengths(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(vertices[edges[:, 0]] - vertices[edges[:, 1]], axis=1)
 
 
 def edge_term(

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kinematics import BoneTransformSet, KeypointSet, KinematicTree, _from_file
+from .kinematics import BoneTransformSet, KeypointSet, KinematicTree, _from_file, _read_csv
 from .mesh import Mesh
 
 
@@ -75,14 +75,8 @@ def _weights_csv(weights: SkinningMatrix) -> str:
 
 
 def load_weights(path) -> SkinningMatrix:
-    def parse(text):
-        try:
-            m = np.loadtxt(text.splitlines(), delimiter=",", dtype=np.float64, ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"weight parse failure: {exc}") from exc
-        return SkinningMatrix(m)
-
-    return _from_file(path, "weight", parse)
+    """Read a dense CSV grid, one row per vertex, as a regressor grid is read."""
+    return _from_file(path, "weight", lambda text: SkinningMatrix(_read_csv(text, "weight")))
 
 
 def bone_centers(keypoints: KeypointSet, tree: KinematicTree) -> np.ndarray:

@@ -80,19 +80,21 @@ class TransferConfig:
     refinement: RefinementSettings = field(default_factory=RefinementSettings)
 
     @classmethod
-    def from_dict(cls, data: dict, base_dir=None) -> "TransferConfig":
+    def from_dict(cls, data: dict, base_dir=None, tree=None) -> "TransferConfig":
+        """The config of JSON ``data``; a given ``tree`` stands in for its
+        ``tree`` entry, which is then not read, before any rule is checked."""
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, not a {type(data).__name__}")
         if unknown := set(data) - {f.name for f in fields(cls)}:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        base = Path(base_dir) if base_dir is not None else Path(".")
         tree_spec = data.get("tree")
-        if tree_spec is None:
+        if tree is None and tree_spec is None:
             raise ValueError("config needs a 'tree' entry (path, dict or bundled name)")
-        if isinstance(tree_spec, dict):
+        if tree is None and isinstance(tree_spec, dict):
             tree = KinematicTree.from_dict(tree_spec)
-        else:
+        elif tree is None:
             # a file beside the config, else a bundled tree, else a missing file
+            base = Path(base_dir) if base_dir is not None else Path(".")
             candidate, bundled = base / str(tree_spec), _TREES / f"{tree_spec}.json"
             tree = load_tree(bundled if bundled.is_file() and not candidate.is_file() else candidate)
         blocks = {
@@ -100,11 +102,17 @@ class TransferConfig:
             for f in fields(cls)
             if f.name != "tree" and f.name in data
         }
+        radii = blocks["gmm"].radii if "gmm" in blocks else None
+        if radii is not None and len(radii) != tree.n_bones:
+            raise ValueError(
+                f"gmm.radii must hold one radius per bone ({tree.n_bones}), not {len(radii)}"
+            )
         return cls(tree, **blocks)
 
     @classmethod
-    def from_file(cls, path) -> "TransferConfig":
-        return cls.from_dict(_from_file(path, "config", json.loads), base_dir=Path(path).parent)
+    def from_file(cls, path, tree=None) -> "TransferConfig":
+        data = _from_file(path, "config", json.loads)
+        return cls.from_dict(data, base_dir=Path(path).parent, tree=tree)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -138,9 +146,8 @@ def _minimize(f, x0, max_iters, step_size, tolerance, on_accept=None):
     accepted values decrease; mu then follows the gain-ratio rule of Madsen,
     Nielsen & Tingleff (2004), and it grows on every rejected trial.
 
-    Returns ``(x, values, points, stop_reason)``: the final point, the
-    accepted values and iterates (starting point included), and why the
-    solve ended:
+    Returns ``(x, values, stop_reason)``: the final point, the accepted
+    values (the starting point's included), and why the solve ended:
 
     - ``zero_gradient``: the gradient 2 J'r is exactly zero;
     - ``converged``: a step damped by at least ``1 / step_size`` is
@@ -169,7 +176,6 @@ def _minimize(f, x0, max_iters, step_size, tolerance, on_accept=None):
     if on_accept is not None:
         on_accept()
     values = [float(current[0])]
-    points = [x.copy()]
     mu0 = 1.0 / float(step_size)
     mu, nu = mu0, 2.0
     eye = np.eye(x.shape[0])
@@ -213,8 +219,7 @@ def _minimize(f, x0, max_iters, step_size, tolerance, on_accept=None):
         x = x + d
         current = trial
         values.append(float(trial[0]))
-        points.append(x.copy())
-    return x, values, points, stop_reason
+    return x, values, stop_reason
 
 
 def _descend(f, grad, x0, max_iters, step_size, tolerance):
@@ -259,20 +264,18 @@ def _probes(x):
 
 
 def _tangents(probed, widths) -> list:
-    """Central differences per twist coordinate, each a tuple of
-    BoneTransformSets, of ``probed``: per surface, the stacked transforms at
-    the twists' probes (``_probes``), whose widths are ``widths``. LBS is
-    linear in the bone transforms, so ``lbs_blend`` of a tangent set is the
-    derivative of the blended vertices along that coordinate.
-    """
+    """Per surface, one BoneTransformSet stack whose row m is the central
+    difference along twist coordinate m of ``probed``, the surface's stacked
+    transforms at the probes (``_probes``) of widths ``widths``. LBS is linear
+    in the transforms, so ``lbs_blend`` of row m is the vertices' derivative."""
     k = widths.shape[0]
-    slopes = []
-    for tf in probed:
-        arrays = (tf.relative, tf.rotations, tf.translations, tf.posed_joints)
-        slopes.append(BoneTransformSet(*(
-            (a[k:] - a[:k]) / widths.reshape((k,) + (1,) * (a.ndim - 1)) for a in arrays
-        )))
-    return [tuple(s[j] for s in slopes) for j in range(k)]
+    return [
+        BoneTransformSet(*(
+            (a[k:] - a[:k]) / widths.reshape((k,) + (1,) * (a.ndim - 1))
+            for a in (tf.relative, tf.rotations, tf.translations, tf.posed_joints)
+        ))
+        for tf in probed
+    ]
 
 
 def _pose_bones(rest_kp, target_kp, twists, tree) -> BoneTransformSet:
@@ -381,9 +384,10 @@ def _solve_twists(surfaces, pose, skinning, x0, n_twists, config: TransferConfig
                 (p[s.edges[:, 0]] - p[s.edges[:, 1]]) / lens[:, None]
                 for s, p, lens in zip(surfaces, posed, lengths)
             ]
-            for m, tangents in enumerate(_tangents([tf[1:] for tf in stacks], widths)):
+            tangents = _tangents([tf[1:] for tf in stacks], widths)
+            for m in range(n_twists):
                 motion = [
-                    lbs_blend(s.vertices, w, t)
+                    lbs_blend(s.vertices, w, t[m])
                     for s, w, t in zip(surfaces, skins, tangents)
                 ]
                 rates = [
@@ -408,7 +412,7 @@ def _solve_twists(surfaces, pose, skinning, x0, n_twists, config: TransferConfig
         history.append(latest[0])
 
     opt = config.optimizer
-    x, _, _, stop_reason = _minimize(
+    x, _, stop_reason = _minimize(
         objective, x0, opt.max_iters, opt.step_size, opt.tolerance, on_accept=accept
     )
     return x, stop_reason, history, *accepted[1:]

@@ -114,6 +114,26 @@ def test_transfer_requires_some_target(puppet_files, capsys):
     assert code == 1
 
 
+def test_transfer_target_mesh_beside_target_keypoints_exits_1(puppet_files, capsys):
+    # the keypoints would make the mesh unread, so even a missing one is an error
+    d, _ = puppet_files
+    code = main([
+        "transfer",
+        "--source", str(d / "rest.obj"),
+        "--source-kp", str(d / "rest_kp.json"),
+        "--target-kp", str(d / "posed_kp.json"),
+        "--target", str(d / "nope.obj"),
+        "--tree", str(d / "tree.json"),
+        "--out", str(d / "out"),
+    ])
+    assert code == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (
+        "error: posekit transfer: argument --target: not allowed with argument --target-kp"
+    )
+    assert not (d / "out").exists()
+
+
 def test_transfer_missing_source_exits_1(puppet_files, capsys):
     d, _ = puppet_files
     code, _ = run_cli(
@@ -216,6 +236,8 @@ def test_transfer_config_typo_exits_1(puppet_files, capsys):
         ({"optimiser": {"max_iters": 3}}, "unknown config keys: ['optimiser']"),
         ({"seed": 0, "refine": {}}, "unknown config keys: ['refine', 'seed']"),
         ({"loss_weights": {"keypoint": 2.0}}, "unknown loss_weights keys: ['keypoint']"),
+        ({"gmm": {"temperature": 0}}, "gmm.temperature must be positive"),
+        ({"gmm": {"radii": [0.5]}}, "gmm.radii must hold one radius per bone (2), not 1"),
     ],
 )
 def test_transfer_bad_config_value_exits_1(puppet_files, capsys, block, message):
@@ -232,6 +254,36 @@ def test_transfer_bad_config_value_exits_1(puppet_files, capsys, block, message)
     assert code == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and message in line
+
+
+@pytest.mark.parametrize(
+    "config_tree, tree_option, error",
+    [
+        ("smpl_24", "{d}/tree.json", None),  # radii sized for the 2-bone --tree tree
+        ("tree.json", "smpl_24", "error: gmm.radii must hold one radius per bone (23), not 2"),
+    ],
+)
+def test_transfer_checks_config_radii_against_the_tree_option(
+    puppet_files, capsys, config_tree, tree_option, error
+):
+    # --tree replaces the config's tree before the radii count is checked
+    d, _ = puppet_files
+    config = {"tree": config_tree, "gmm": {"radii": [0.5, 0.5]}}
+    (d / "config.json").write_text(json.dumps(config))
+    code = main([
+        "transfer",
+        "--source", str(d / "rest.obj"),
+        "--source-kp", str(d / "rest_kp.json"),
+        "--target-kp", str(d / "posed_kp.json"),
+        "--config", str(d / "config.json"),
+        "--tree", tree_option.format(d=d),
+        "--out", str(d / "out"),
+    ])
+    err = capsys.readouterr().err
+    if error is None:
+        assert code == 0 and (d / "out" / "refined.obj").is_file()
+    else:
+        assert code == 1 and err.splitlines() == [error]
 
 
 def test_transfer_config_that_is_not_an_object_exits_1(puppet_files, capsys):

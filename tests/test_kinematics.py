@@ -17,6 +17,7 @@ from posekit import (
     keypoint_loss,
     load_regressor,
     load_tree,
+    load_weights,
     regress_keypoints,
     root_orientation,
     save_tree,
@@ -190,6 +191,40 @@ def test_load_regressor_sparse(tmp_path):
     # shape inferred from the largest indices when not given
     r2 = load_regressor(p)
     assert r2.matrix.shape == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "text, accepted",
+    [
+        ("0.5,0.5\n1,0\n", True),
+        ("0.5, 0.5\n\n1 ,0\n\n", True),  # spaces around a number, blank lines
+        ('"0.5","0.5"\n1,0\n', True),  # quoted numbers
+        ("5e-1,0.5\n1,0", True),  # no final newline
+        ("# weights\n0.5,0.5\n1,0\n", False),  # a comment line
+        ("0.5 0.5\n1 0\n", False),  # spaces as separators
+        ("0.5,0.5,\n1,0,\n", False),  # a trailing comma
+        ("0.5,0.5\n1\n", False),  # ragged rows
+        ("a,b\n1,0\n", False),
+        ("", False),
+        ("\n\n", False),
+    ],
+)
+def test_weights_and_dense_regressors_share_one_grid_syntax(tmp_path, text, accepted):
+    # a grid that both contracts hold (rows of nonnegative numbers summing
+    # to 1) loads as weights exactly when it loads as a dense regressor
+    path = tmp_path / "grid.csv"
+    path.write_text(text)
+    loaded = []
+    for read, kind in ((load_weights, "weight"), (load_regressor, "regressor")):
+        if accepted:
+            loaded.append(read(path))
+        else:
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {kind} parse fail"):
+                read(path)
+    if accepted:
+        weights, regressor = loaded
+        assert np.array_equal(weights.weights, [[0.5, 0.5], [1.0, 0.0]])
+        assert np.array_equal(regressor.matrix, weights.weights)
 
 
 def test_load_regressor_sparse_rejects_negative_indices(tmp_path):

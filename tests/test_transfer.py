@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -71,10 +72,10 @@ def squares(root):
 
 def test_minimize_quadratic():
     f = squares(np.diag([1.0, 2.0]))
-    x, values, points, stop = _minimize(f, np.array([2.0, -1.5]), 200, 1.0, 1e-14)
+    x, values, stop = _minimize(f, np.array([2.0, -1.5]), 200, 1.0, 1e-14)
     assert np.max(np.abs(x)) <= 1e-5
     assert values[0] == f(np.array([2.0, -1.5]))[0]
-    assert len(values) == len(points)
+    assert values[-1] == f(x)[0]  # the last accepted value is the final point's
     assert all(b < a for a, b in zip(values, values[1:]))  # strict descent
     assert stop == "converged"
 
@@ -85,7 +86,7 @@ def test_minimize_rosenbrock():
         r = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
         return float(r @ r), r, lambda: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
-    x, values, _, stop = _minimize(f, np.array([-1.2, 1.0]), 100, 1.0, 1e-20)
+    x, values, stop = _minimize(f, np.array([-1.2, 1.0]), 100, 1.0, 1e-20)
     assert np.max(np.abs(x - 1.0)) <= 1e-8
     assert all(b < a for a, b in zip(values, values[1:]))
     assert stop == "converged" and len(values) < 100
@@ -96,13 +97,13 @@ def test_minimize_first_step_is_the_gradient_step():
     root = np.array([[1e-9, 0.0], [0.0, 2e-9]])
     x0 = np.array([1.0, 1.0])
     g = 2.0 * root.T @ (root @ x0)
-    _, _, points, stop = _minimize(squares(root), x0, 1, 1e6, 0.0)
-    assert np.allclose(points[1], x0 - 1e6 * g, rtol=1e-6)
+    x, _, stop = _minimize(squares(root), x0, 1, 1e6, 0.0)
+    assert np.allclose(x, x0 - 1e6 * g, rtol=1e-6)
     assert stop == "max_iters"
 
 
 def test_minimize_starts_at_optimum():
-    x, values, _, stop = _minimize(squares(np.eye(3)), np.zeros(3), 50, 1.0, 1e-12)
+    x, values, stop = _minimize(squares(np.eye(3)), np.zeros(3), 50, 1.0, 1e-12)
     assert np.array_equal(x, np.zeros(3))
     assert values == [0.0]
     assert stop == "zero_gradient"
@@ -111,15 +112,15 @@ def test_minimize_starts_at_optimum():
 def test_minimize_stop_reasons():
     f = squares(np.diag([1.0, 2.0]))
     x0 = np.array([2.0, -1.5])
-    _, values, _, stop = _minimize(f, x0, 3, 1.0, 1e-14)
+    _, values, stop = _minimize(f, x0, 3, 1.0, 1e-14)
     assert stop == "max_iters" and len(values) == 4
-    _, values, _, stop = _minimize(f, x0, 0, 1.0, 1e-14)
+    _, values, stop = _minimize(f, x0, 0, 1.0, 1e-14)
     assert stop == "max_iters" and len(values) == 1
 
     def only_start(x):  # every trial is rejected
         return f(x) if np.array_equal(x, x0) else None
 
-    x, values, _, stop = _minimize(only_start, x0, 50, 1.0, 1e-14)
+    x, values, stop = _minimize(only_start, x0, 50, 1.0, 1e-14)
     assert stop == "no_decrease"
     assert np.array_equal(x, x0) and len(values) == 1
 
@@ -1109,13 +1110,20 @@ def test_losses_match_fresh_mesh_breakdowns(monkeypatch):
     # the optimizer's accepted iterate
     p = make_puppet(3, 0.5, 0.3, seed=4)
     cfg = puppet_config(p, max_iters=12)
-    solves = []  # accepted points of the twist solve
+    iterates = []  # accepted points of the twist solve
     real = transfer._minimize
 
-    def keep_points(*args, **kwargs):
-        solve = real(*args, **kwargs)
-        solves.append(solve[2])
-        return solve
+    def keep_points(f, x0, *args, on_accept, **kwargs):
+        # on_accept follows the evaluation of f at each accepted point
+        def evaluate(x):
+            evaluate.x = x
+            return f(x)
+
+        def accept():
+            iterates.append(evaluate.x)
+            on_accept()
+
+        return real(evaluate, x0, *args, on_accept=accept, **kwargs)
 
     monkeypatch.setattr(transfer, "_minimize", keep_points)
     res = pose_transfer(
@@ -1126,7 +1134,6 @@ def test_losses_match_fresh_mesh_breakdowns(monkeypatch):
         target_mesh=p.posed_mesh,
         weights=p.weights,
     )
-    (iterates,) = solves
     assert len(res.losses) == len(iterates) >= 3
     for params, got in zip(iterates, res.losses):
         phi = TwistAngles.wrap(params)
@@ -1346,11 +1353,20 @@ HUGE_INT = int("9" * 400)
         ({"gmm": {"radii": ["0.5", 0.5]}}, "gmm.radii", "finite and positive"),
         ({"gmm": {"radii": [True, 0.5]}}, "gmm.radii", "finite and positive"),
         ({"gmm": {"radii": [HUGE_INT, 0.5]}}, "gmm.radii", "finite and positive"),
+        ({"gmm": {"temperature": 0}}, "gmm.temperature", "positive"),
+        ({"gmm": {"temperature": -2.0}}, "gmm.temperature", "positive"),
     ],
 )
 def test_config_rejects_mistyped_and_out_of_range_values(block, value, message):
     with pytest.raises(ValueError, match=rf"{value} must be .*{message}"):
         TransferConfig.from_dict({"tree": "smpl_24", **block})
+
+
+@pytest.mark.parametrize("n", [0, 1, 22, 24])
+def test_config_rejects_radii_not_one_per_bone(n):
+    message = f"gmm.radii must hold one radius per bone (23), not {n}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TransferConfig.from_dict({"tree": "smpl_24", "gmm": {"radii": [0.5] * n}})
 
 
 def test_config_must_be_an_object():
