@@ -887,39 +887,44 @@ def _resolve_manifest(data, path: Path) -> dict:
 def run_manifest(manifest_path, config: TransferConfig, out_dir, jobs: int = 1) -> list:
     """Run every pair of a manifest, one output directory per pair.
 
-    Every referenced file is loaded, in manifest order, and each source
-    identity's pseudo weights are built once from its canonical pose, and
-    formatted once for ``weights.csv`` unless ``optimize_radii`` varies
-    them, before any pair runs; then all pairs run on one pool of ``jobs``
-    threads. Every pair runs: once the pool has drained, the first failing
-    pair in manifest order raises its error, so the outputs are the same at
-    any ``jobs``.
+    Every named file must exist. Before any pair runs, each source or
+    canonical pose's mesh and keypoints and each target pose's keypoints are
+    read once, in manifest order (a target-only pose's mesh is not read), and
+    each source identity's pseudo weights are built, and formatted for
+    ``weights.csv`` unless ``optimize_radii`` varies them, once from its
+    canonical pose. All pairs then run on one pool of ``jobs`` threads; once
+    all have run, the first failing pair in manifest order raises its error.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, not {jobs}")
     manifest = load_manifest(manifest_path)
     identities = manifest["identities"]
-    poses: dict = {}
+    parsed: dict = {}  # (kind, resolved path) -> the file's contents
     canonicals: dict = {}
+    runs = []
+
+    def read(pose, kind):
+        path = identities[pose[0]]["poses"][pose[1]][kind]
+        key = kind, path.resolve()
+        if key not in parsed:
+            parsed[key] = (load_mesh if kind == "mesh" else load_keypoints)(path)
+        return parsed[key]
+
     for pair in manifest["pairs"]:
-        ident = pair["source"][0]
-        canonical = (ident, identities[ident]["canonical"])
-        for key in (pair["source"], pair["target"], canonical):
-            if key not in poses:
-                files = identities[key[0]]["poses"][key[1]]
-                poses[key] = load_mesh(files["mesh"]), load_keypoints(files["keypoints"])
+        source, ident = pair["source"], pair["source"][0]
+        s_mesh, s_kp = read(source, "mesh"), read(source, "keypoints")
+        t_kp = read(pair["target"], "keypoints")
         if ident not in canonicals:
-            c_mesh, c_kp = poses[canonical]
+            canonical = (ident, identities[ident]["canonical"])
+            c_mesh, c_kp = read(canonical, "mesh"), read(canonical, "keypoints")
             weights = pseudo_weights(
                 c_mesh.vertices, c_kp, config.tree, config.gmm.temperature, config.gmm.radii
             )
             csv = None if config.gmm.optimize_radii else _weights_csv(weights)
             canonicals[ident] = c_mesh, c_kp, weights, csv
+        runs.append((pair["name"], s_mesh, s_kp, t_kp, *canonicals[ident]))
 
-    def run_pair(pair):
-        s_mesh, s_kp = poses[pair["source"]]
-        _, t_kp = poses[pair["target"]]
-        c_mesh, c_kp, weights, csv = canonicals[pair["source"][0]]
+    def run_pair(name, s_mesh, s_kp, t_kp, c_mesh, c_kp, weights, csv):
         result = pose_transfer(
             s_mesh,
             s_kp,
@@ -929,8 +934,8 @@ def run_manifest(manifest_path, config: TransferConfig, out_dir, jobs: int = 1) 
             canonical_mesh=c_mesh,
             canonical_kp=c_kp,
         )
-        return pair["name"], save_result(result, Path(out_dir) / pair["name"], None, csv)
+        return name, save_result(result, Path(out_dir) / name, None, csv)
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run_pair, pair) for pair in manifest["pairs"]]
+        futures = [pool.submit(run_pair, *run) for run in runs]
     return [future.result() for future in futures]

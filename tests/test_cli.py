@@ -645,17 +645,18 @@ def test_batch_failing_pair_leaves_the_same_outputs_at_any_jobs(tmp_path, capsys
 
 
 @pytest.mark.parametrize(
-    "pairs",
+    "pairs, reads",
     [
-        [("a", "rest", "b", "bent"), ("b", "rest", "a", "bent")],
-        [("a", "rest", "b", "bent"), ("b", "rest", "a", "bent"), ("a", "bent", "a", "bent"),
-         ("b", "bent", "b", "bent"), ("a", "rest", "a", "bent"), ("b", "rest", "b", "bent")],
+        ([("a", "rest", "b", "bent"), ("b", "rest", "a", "bent")], 2),
+        ([("a", "rest", "b", "bent"), ("b", "rest", "a", "bent"), ("a", "bent", "a", "bent"),
+          ("b", "bent", "b", "bent"), ("a", "rest", "a", "bent"), ("b", "rest", "b", "bent")], 4),
     ],
     ids=["2_pairs", "6_pairs"],
 )
-def test_batch_derives_edges_once_per_mesh_file(tmp_path, capsys, monkeypatch, pairs):
-    # the manifest names 4 mesh files; every pair's coarse and refined mesh
-    # carries its source's edges over instead of deriving them again
+def test_batch_derives_edges_once_per_mesh_file(tmp_path, capsys, monkeypatch, pairs, reads):
+    # the manifest names 4 mesh files, but only source and canonical meshes
+    # are read (2_pairs: the two rest poses); every pair's coarse and refined
+    # mesh carries its source's edges over instead of deriving them again
     path, a = manifest_fixture(tmp_path)
     data = json.loads(path.read_text())
     data["pairs"] = [
@@ -682,7 +683,71 @@ def test_batch_derives_edges_once_per_mesh_file(tmp_path, capsys, monkeypatch, p
         "--out", str(tmp_path / "runs"),
     )
     assert code == 0 and len(payload) == len(pairs)
-    assert len(derived) == 4
+    assert len(derived) == reads
+
+
+def _batch_files(tmp_path, path, a, out):
+    # run `batch` on the manifest at `path`; return its exit code and every
+    # output file's bytes, by path relative to `out`
+    cfg = TransferConfig(tree=a.tree)
+    cfg.optimizer.max_iters = 3
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg.to_dict()))
+    code = main([
+        "batch",
+        "--manifest", str(path),
+        "--config", str(tmp_path / "cfg.json"),
+        "--out", str(out),
+    ])
+    files = sorted(out.rglob("*")) if out.exists() else []
+    return code, {f.relative_to(out): f.read_bytes() for f in files if f.is_file()}
+
+
+def test_batch_reads_no_target_only_mesh(tmp_path, capsys):
+    # b's bent pose is only ever a target, so its mesh must exist but is not parsed
+    path, a = manifest_fixture(tmp_path)
+    valid = _batch_files(tmp_path, path, a, tmp_path / "valid")
+    (tmp_path / "b_bent.obj").write_text("v 1 2\n")
+    assert _batch_files(tmp_path, path, a, tmp_path / "runs") == valid
+    assert valid[0] == 0 and capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("role", ["source", "canonical"])
+def test_batch_malformed_source_or_canonical_mesh_exits_1(tmp_path, capsys, role):
+    path, a = manifest_fixture(tmp_path)
+    (tmp_path / "b_bent.obj").write_text("v 1 2\n")
+    data = json.loads(path.read_text())
+    if role == "canonical":
+        data["identities"]["b"]["canonical"] = "bent"
+    source = ["b", "bent" if role == "source" else "rest"]
+    data["pairs"].append({"name": "b_to_a", "source": source, "target": ["a", "bent"]})
+    path.write_text(json.dumps(data))
+    code, files = _batch_files(tmp_path, path, a, tmp_path / "runs")
+    captured = capsys.readouterr()
+    assert code == 1 and files == {} and captured.out == ""
+    assert captured.err == f"error: {tmp_path / 'b_bent.obj'}:1: malformed vertex record\n"
+
+
+def test_batch_parses_a_mesh_named_by_two_identities_once(tmp_path, capsys, monkeypatch):
+    # identity c names a's rest files by another spelling of the same path
+    path, a = manifest_fixture(tmp_path)
+    (tmp_path / "c").mkdir()
+    data = json.loads(path.read_text())
+    rest = {k: f"c/../{v}" for k, v in data["identities"]["a"]["poses"]["rest"].items()}
+    data["identities"]["c"] = {"canonical": "rest", "poses": {"rest": rest}}
+    data["pairs"].append({"name": "c_to_b", "source": ["c", "rest"], "target": ["b", "bent"]})
+    path.write_text(json.dumps(data))
+    parsed = []
+    parse_obj = posekit.mesh._parse_obj
+
+    def counted(text, obj_path):
+        parsed.append(obj_path)
+        return parse_obj(text, obj_path)
+
+    monkeypatch.setattr(posekit.mesh, "_parse_obj", counted)
+    code, files = _batch_files(tmp_path, path, a, tmp_path / "runs")
+    assert code == 0 and parsed == [tmp_path / "a_rest.obj"]
+    for name in ("coarse.obj", "refined.obj", "weights.csv", "summary.json"):
+        assert files[Path("c_to_b", name)] == files[Path("a_to_b", name)]
 
 
 @pytest.mark.parametrize(
