@@ -17,12 +17,10 @@ class LossWeights:
 
     lambda_cycle: float = 1.0
     lambda_self: float = 1.0
-    lambda_edge: float = 0.0005
     # the loss names, keys of LossBreakdown.to_dict, that from_dict also reads
     aliases = {
         "cycle": "lambda_cycle",
         "self": "lambda_self",
-        "edge": "lambda_edge",
     }
 
     @classmethod
@@ -49,7 +47,6 @@ class LossBreakdown:
 
     cycle: float = 0.0
     self_recon: float = 0.0
-    edge: float = 0.0
     total: float = 0.0
 
     def to_dict(self) -> dict:
@@ -63,38 +60,24 @@ def total_loss(
     *,
     cycle: float = 0.0,
     self_recon: float = 0.0,
-    edge: float = 0.0,
 ) -> LossBreakdown:
     """Weighted sum of the loss components, in fixed term order."""
-    total = (
-        weights.lambda_cycle * cycle
-        + weights.lambda_self * self_recon
-        + weights.lambda_edge * edge
-    )
-    return LossBreakdown(
-        cycle=float(cycle),
-        self_recon=float(self_recon),
-        edge=float(edge),
-        total=float(total),
-    )
+    total = weights.lambda_cycle * cycle + weights.lambda_self * self_recon
+    return LossBreakdown(cycle=float(cycle), self_recon=float(self_recon), total=float(total))
 
 
 def edge_term(
     deformed_vertices: np.ndarray, edges: np.ndarray, rest_lengths: np.ndarray
-) -> tuple[float, np.ndarray]:
+) -> float:
     """Mean squared edge-length difference against precomputed rest lengths.
 
     ``rest_lengths`` holds one length per row of ``edges``, so a caller that
     evaluates many deformations of one mesh measures its rest edges once.
-    Returns the value and the deformed edge lengths, which lets the caller
-    reject a collapsed edge without measuring the edges again.
     """
-    d = np.asarray(deformed_vertices, dtype=np.float64)
-    ld = _lengths(d, edges)
     if edges.shape[0] == 0:
-        return 0.0, ld
-    diff = ld - rest_lengths
-    return float(np.mean(diff * diff)), ld
+        return 0.0
+    diff = _lengths(np.asarray(deformed_vertices, dtype=np.float64), edges) - rest_lengths
+    return float(np.mean(diff * diff))
 
 
 def edge_discrepancy(
@@ -102,7 +85,7 @@ def edge_discrepancy(
 ) -> float:
     """Mean squared edge-length difference over an explicit edge list."""
     s = np.asarray(source_vertices, dtype=np.float64)
-    return edge_term(deformed_vertices, edges, _lengths(s, edges))[0]
+    return edge_term(deformed_vertices, edges, _lengths(s, edges))
 
 
 def edge_loss(source: Mesh, deformed: Mesh) -> float:
@@ -113,7 +96,7 @@ def edge_loss(source: Mesh, deformed: Mesh) -> float:
     """
     if not source.same_connectivity(deformed):
         raise ValueError("edge_loss requires identical connectivity")
-    return edge_term(deformed.vertices, source.edges, edge_lengths(source))[0]
+    return edge_term(deformed.vertices, source.edges, edge_lengths(source))
 
 
 def edge_discrepancy_gradient(

@@ -6,7 +6,6 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -149,7 +148,9 @@ def _minimize(f, x0, max_iters, step_size, tolerance, on_accept=None):
     Returns ``(x, values, stop_reason)``: the final point, the accepted
     values (the starting point's included), and why the solve ended:
 
-    - ``zero_gradient``: the gradient 2 J'r is exactly zero;
+    - ``zero_gradient``: the gradient 2 J'r is exactly zero. An all-zero
+      (or empty) residual vector stops here before the Jacobian is asked
+      for, since 2 J'r is then zero whatever J is;
     - ``converged``: a step damped by at least ``1 / step_size`` is
       predicted to lower the value by at most ``tolerance * max(1, value)``.
       Damping the test keeps a near-flat valley, along which undamped steps
@@ -182,6 +183,9 @@ def _minimize(f, x0, max_iters, step_size, tolerance, on_accept=None):
     stop_reason = "max_iters"
     for _ in range(int(max_iters)):
         fx, r, jacobian = current
+        if not r.any():
+            stop_reason = "zero_gradient"
+            break
         jac = jacobian()
         if not np.isfinite(jac).all():
             raise DivergenceError("non-finite Jacobian")
@@ -263,19 +267,16 @@ def _probes(x):
     return np.concatenate([x - np.diag(h), x + np.diag(h)]), 2.0 * h
 
 
-def _tangents(probed, widths) -> list:
-    """Per surface, one BoneTransformSet stack whose row m is the central
-    difference along twist coordinate m of ``probed``, the surface's stacked
-    transforms at the probes (``_probes``) of widths ``widths``. LBS is linear
-    in the transforms, so ``lbs_blend`` of row m is the vertices' derivative."""
+def _tangents(probed: BoneTransformSet, widths) -> BoneTransformSet:
+    """The stack whose row m is the central difference along twist
+    coordinate m of ``probed``, the stacked transforms at the probes
+    (``_probes``) of widths ``widths``. LBS is linear in the transforms, so
+    ``lbs_blend`` of row m is the vertices' derivative."""
     k = widths.shape[0]
-    return [
-        BoneTransformSet(*(
-            (a[k:] - a[:k]) / widths.reshape((k,) + (1,) * (a.ndim - 1))
-            for a in (tf.relative, tf.rotations, tf.translations, tf.posed_joints)
-        ))
-        for tf in probed
-    ]
+    return BoneTransformSet(*(
+        (a[k:] - a[:k]) / widths.reshape((k,) + (1,) * (a.ndim - 1))
+        for a in (probed.relative, probed.rotations, probed.translations, probed.posed_joints)
+    ))
 
 
 def _pose_bones(rest_kp, target_kp, twists, tree) -> BoneTransformSet:
@@ -284,39 +285,28 @@ def _pose_bones(rest_kp, target_kp, twists, tree) -> BoneTransformSet:
     return forward_kinematics(rest_kp, rel, tree, root_position=target_kp.joints[..., 0, :])
 
 
-class _Surface(NamedTuple):
-    """A skinned surface of a twist solve: its rest vertices, edges and rest
-    edge lengths, and the vertices its posed state is fit to, if any."""
-
-    vertices: np.ndarray
-    edges: np.ndarray
-    rest: np.ndarray
-    target: np.ndarray | None
-
-    @classmethod
-    def of(cls, mesh: Mesh, target: Mesh | None = None) -> "_Surface":
-        """DivergenceError if a rest length is not finite (a NaN vertex, or
-        squares that overflow), as no edge term can be; run before any
-        weights are built, which would call it bad input instead."""
-        rest = edge_lengths(mesh)
-        if not np.isfinite(rest).all():
-            raise DivergenceError("rest edge lengths are not finite")
-        fit_to = None if target is None else target.vertices
-        return cls(mesh.vertices, mesh.edges, rest, fit_to)
+def _check_finite(mesh: Mesh) -> None:
+    """DivergenceError if an edge length is not finite (a NaN vertex, or
+    squares that overflow), as no skinned offset can be; run before any
+    weights are built, which would call it bad input instead."""
+    if not np.isfinite(edge_lengths(mesh)).all():
+        raise DivergenceError("rest edge lengths are not finite")
 
 
-def _solve_twists(surfaces, pose, skinning, x0, n_twists, config: TransferConfig, fit: str):
-    """Levenberg-Marquardt (``_minimize``) from ``x0`` over skinned surfaces.
+def _solve_twists(vertices, target, pose, skinning, x0, n_twists, config: TransferConfig, fit: str):
+    """Levenberg-Marquardt (``_minimize``) from ``x0`` over one skinned surface.
 
-    ``pose`` maps a stack of twist rows to one stacked BoneTransformSet per
-    surface, and ``skinning(params)`` gives one SkinningMatrix per surface,
-    or None to reject ``params``. A point where a posed edge collapses is
-    rejected too. The residuals are the fit blocks (posed minus target
-    vertices), then the edge blocks (posed minus rest lengths), in surface
-    order, scaled so that ``r @ r`` is the ``total_loss`` total under
-    ``config.loss_weights`` with the summed target PMD as its ``fit`` term
-    ("self_recon" or "cycle") and the summed edge terms. The solve runs
-    under ``config.optimizer``.
+    ``vertices`` are the surface's rest vertices and ``target`` the vertices
+    its posed state is fit to, or None. ``pose`` maps a stack of twist rows
+    to a stacked BoneTransformSet, and ``skinning(params)`` gives the
+    SkinningMatrix, or None to reject ``params``. The residuals are
+    ``sqrt(lambda / N)`` times the posed minus the target vertices, so that
+    ``r @ r`` is the ``total_loss`` total under ``config.loss_weights`` with
+    the target PMD as its ``fit`` term ("self_recon" or "cycle"). Without a
+    target there are no residuals, and ``_minimize`` stops at ``x0`` before
+    it asks for a Jacobian. The solve runs under ``config.optimizer``.
+    ``cycle_reconstruct`` fits its output surface alone: its intermediate
+    surface is not in the solve.
 
     Each evaluation makes one ``pose`` call on the twists and all their
     probes as rows (``_probes``): row 0 gives the residuals and the others
@@ -324,44 +314,25 @@ def _solve_twists(surfaces, pose, skinning, x0, n_twists, config: TransferConfig
     as LBS is linear in the transforms. Further parameters (the log radii
     under ``optimize_radii``) get central differences of the residuals.
 
-    Returns ``(x, stop_reason, losses, transforms, skins)``: the final
-    point, why the solve ended, the breakdowns of the accepted evaluations,
-    and the transforms and skinning weights (one per surface) of the last.
+    Returns ``(x, stop_reason, losses, transforms, skin)``: the final point,
+    why the solve ended, the breakdowns of the accepted evaluations, and
+    the transforms and skinning weights of the last.
     """
     lw = config.loss_weights
     fit_weight = {"self_recon": lw.lambda_self, "cycle": lw.lambda_cycle}[fit]
-    # r @ r is the weighted total: lambda * mean of squares over each term
-    scales = [
-        np.sqrt(fit_weight / s.vertices.shape[0]) for s in surfaces if s.target is not None
-    ] + [
-        np.sqrt(lw.lambda_edge / max(s.edges.shape[0], 1)) for s in surfaces
-    ]
-
-    def stack(fit_rows, edge_rows):
-        """The fitted surfaces' blocks, then every surface's edge block, scaled."""
-        return np.concatenate(
-            [c * rows.ravel() for c, rows in zip(scales, fit_rows + edge_rows)]
-        )
+    # r @ r is the weighted total: lambda * mean of squares
+    scale = np.sqrt(fit_weight / vertices.shape[0])
 
     def residuals(params, transforms):
-        """Breakdown, residuals and what the Jacobian reuses; None to reject."""
-        skins = skinning(params)
-        if skins is None:
+        """Breakdown, residuals and skinning weights; None to reject."""
+        skin = skinning(params)
+        if skin is None:
             return None
-        posed, lengths, offsets, fit_value, edge = [], [], [], 0.0, 0.0
-        for s, w, tf in zip(surfaces, skins, transforms):
-            p = lbs_blend(s.vertices, w, tf)
-            e, lens = edge_term(p, s.edges, s.rest)
-            if (lens == 0.0).any():
-                return None
-            posed.append(p)
-            lengths.append(lens)
-            edge += e
-            if s.target is not None:
-                fit_value += pmd(p, s.target)
-                offsets.append(p - s.target)
-        r = stack(offsets, [lens - s.rest for s, lens in zip(surfaces, lengths)])
-        return total_loss(lw, edge=edge, **{fit: fit_value}), r, skins, posed, lengths
+        if target is None:
+            return total_loss(lw), np.empty(0), skin
+        posed = lbs_blend(vertices, skin, transforms)
+        r = scale * (posed - target).ravel()
+        return total_loss(lw, **{fit: pmd(posed, target)}), r, skin
 
     latest = accepted = None
     history = []
@@ -370,32 +341,19 @@ def _solve_twists(surfaces, pose, skinning, x0, n_twists, config: TransferConfig
         nonlocal latest
         twists = params[:n_twists]
         probes, widths = _probes(twists)
-        stacks = pose(np.concatenate([twists[None], probes]))
-        transforms = [tf[0] for tf in stacks]
+        stacked = pose(np.concatenate([twists[None], probes]))
+        transforms = stacked[0]
         out = residuals(params, transforms)
         if out is None:
             return None
-        breakdown, r, skins, posed, lengths = out
-        latest = breakdown, transforms, skins
+        breakdown, r, skin = out
+        latest = breakdown, transforms, skin
 
         def jacobian():
             jac = np.empty((r.shape[0], params.shape[0]))
-            directions = [
-                (p[s.edges[:, 0]] - p[s.edges[:, 1]]) / lens[:, None]
-                for s, p, lens in zip(surfaces, posed, lengths)
-            ]
-            tangents = _tangents([tf[1:] for tf in stacks], widths)
+            tangents = _tangents(stacked[1:], widths)
             for m in range(n_twists):
-                motion = [
-                    lbs_blend(s.vertices, w, t[m])
-                    for s, w, t in zip(surfaces, skins, tangents)
-                ]
-                rates = [
-                    np.einsum("ij,ij->i", d, v[s.edges[:, 0]] - v[s.edges[:, 1]])
-                    for s, d, v in zip(surfaces, directions, motion)
-                ]
-                fit_motion = [v for s, v in zip(surfaces, motion) if s.target is not None]
-                jac[:, m] = stack(fit_motion, rates)
+                jac[:, m] = scale * lbs_blend(vertices, skin, tangents[m]).ravel()
             points, spans = _probes(params)  # radii probes: the twists stay as they are
             for m in range(n_twists, params.shape[0]):
                 lo, hi = (residuals(points[i], transforms) for i in (m, m + params.shape[0]))
@@ -437,13 +395,14 @@ def pose_transfer(
     skinning, then a Levenberg-Marquardt solve (``_solve_twists``) over the
     per-bone twist angles (and the log Gaussian radii when
     ``config.gmm.optimize_radii`` is set, which ignores any supplied
-    ``weights``). The solve runs over one surface, the source: its
-    weighted edge term plus, when ``target_mesh`` is given (a
-    same-connectivity mesh of the source identity in the target pose), the
-    weighted self-reconstruction error against it, both as sums of squared
-    residuals. Twist is invisible to keypoints, so without a supervising
-    mesh the twists stay where the edge term puts them. Refinement runs
-    once on the optimized coarse mesh when enabled.
+    ``weights``). The solve fits one surface, the source, and only what
+    it can see: the weighted self-reconstruction error against
+    ``target_mesh`` (a same-connectivity mesh of the source identity in
+    the target pose), as a sum of squared residuals. Twist is invisible to
+    keypoints, so without a supervising mesh there are no residuals: the
+    solve stops ``zero_gradient`` at its first evaluation, with zero twist
+    and the starting radii. Refinement runs once on the optimized coarse
+    mesh when enabled.
 
     Returns a TransferResult; ``losses`` is the accepted-step history of
     the optimizer, which is decreasing in ``total``, and ``stop_reason``
@@ -460,7 +419,7 @@ def pose_transfer(
     if c_mesh.n_vertices != source.n_vertices:
         raise ValueError("canonical mesh must share the source vertex count")
 
-    surface = _Surface.of(source, target_mesh)
+    _check_finite(source)
     gmm = config.gmm
     if weights is None or gmm.optimize_radii:
         # under optimize_radii this validates the starting radii
@@ -468,23 +427,24 @@ def pose_transfer(
     n_bones = tree.n_bones
 
     def pose(twists):
-        return (_pose_bones(source_kp, target_kp, TwistAngles.wrap(twists), tree),)
+        return _pose_bones(source_kp, target_kp, TwistAngles.wrap(twists), tree)
 
     def skinning(params):
         """Skinning weights; None if the radii under- or overflow."""
         if not gmm.optimize_radii:
-            return (weights,)
+            return weights
         radii = np.exp(params[n_bones:])
         if not ((radii > 0) & (radii < np.inf)).all():
             return None
-        return (pseudo_weights(c_mesh.vertices, c_kp, tree, gmm.temperature, radii),)
+        return pseudo_weights(c_mesh.vertices, c_kp, tree, gmm.temperature, radii)
 
     x0 = np.zeros(n_bones, dtype=np.float64)
     if gmm.optimize_radii:
         start = default_radii(c_kp, tree) if gmm.radii is None else gmm.radii
         x0 = np.concatenate([x0, np.log(start)])
-    x, stop_reason, history, (tf,), (w,) = _solve_twists(
-        [surface], pose, skinning, x0, n_bones, config, "self_recon"
+    fit_to = None if target_mesh is None else target_mesh.vertices
+    x, stop_reason, history, tf, w = _solve_twists(
+        source.vertices, fit_to, pose, skinning, x0, n_bones, config, "self_recon"
     )
     coarse = lbs_apply(source, w, tf)
     refined = refine(coarse, source, config) if config.refinement.enabled else coarse
@@ -520,7 +480,7 @@ def refine(coarse: Mesh, source: Mesh, config: TransferConfig) -> Mesh:
 
     def f(dv):
         d = cv + dv.reshape(n, 3)
-        return edge_term(d, edges, rest)[0] + ridge * float(np.dot(dv, dv))
+        return edge_term(d, edges, rest) + ridge * float(np.dot(dv, dv))
 
     def g(dv):
         d = cv + dv.reshape(n, 3)
@@ -575,19 +535,21 @@ def cycle_reconstruct(
     third mesh (identity B, same identity as the target but a different
     pose) is posed onto the intermediate result, and the second output is
     compared to the target (identity B in the target pose). Twists of both
-    hops are solved jointly by ``_solve_twists`` over two surfaces, the
-    intermediate (edge term only) and the output (cycle and edge terms), as
-    sums of squared residuals. Both hops' weights use ``gmm.radii`` as given:
-    ``gmm.optimize_radii`` is read only by ``pose_transfer``.
+    hops are solved jointly by ``_solve_twists`` over one surface, the
+    output, fit to the target by the weighted cycle error as a sum of
+    squared residuals. The intermediate surface is not in the solve: hop 1
+    is posed only for hop 2's targets. Both hops' weights use
+    ``gmm.radii`` as given: ``gmm.optimize_radii`` is read only by
+    ``pose_transfer``.
 
     Intermediate keypoints are the first hop's posed joints; passing a
-    regressor re-reads them from the intermediate surface instead. The
-    Jacobian differences the two-hop map from twists to both hops' bone
-    transforms (which includes the first hop's blend when a regressor reads
-    the intermediate keypoints) and is exact in the vertices. Each
-    evaluation poses its point and all probes in one stacked IK/FK call per
-    hop. The first hop does not depend on the second hop's twists, so it is
-    posed once for all of their probes.
+    regressor re-reads them from the first hop's blended vertices instead.
+    The Jacobian differences the two-hop map from twists to the second
+    hop's bone transforms (which includes the first hop's blend when a
+    regressor reads the intermediate keypoints) and is exact in the
+    vertices. Each evaluation poses its point and all probes in one stacked
+    IK/FK call per hop. The first hop does not depend on the second hop's
+    twists, so it is posed once for all of their probes.
     """
     tree = config.tree
     source_kp.validate_for(tree)
@@ -595,15 +557,16 @@ def cycle_reconstruct(
     third_kp.validate_for(tree)
     if not third.same_connectivity(target):
         raise ValueError("third mesh must share the target identity connectivity")
-    surfaces = [_Surface.of(source), _Surface.of(third, target)]
+    _check_finite(source)
+    _check_finite(third)
     gmm = config.gmm
     w1 = pseudo_weights(source.vertices, source_kp, tree, gmm.temperature, gmm.radii)
     w2 = pseudo_weights(third.vertices, third_kp, tree, gmm.temperature, gmm.radii)
     n_bones = tree.n_bones
 
     def pose(params):
-        """Bone transforms of both hops for a stack of twist rows; hop 1 is
-        posed once per distinct row of its twists."""
+        """Second-hop bone transforms for a stack of twist rows; hop 1 is
+        posed once per distinct row of its twists, for hop 2's targets."""
         rows, inverse = np.unique(params[:, :n_bones], axis=0, return_inverse=True)
         inverse = inverse.reshape(-1)
         tf1 = _pose_bones(source_kp, target_kp, TwistAngles.wrap(rows), tree)
@@ -614,11 +577,11 @@ def cycle_reconstruct(
             inter = regress_keypoints(blends, intermediate_regressor).joints
         inter_kp = KeypointSet(inter[inverse])
         tf2 = _pose_bones(third_kp, inter_kp, TwistAngles.wrap(params[:, n_bones:]), tree)
-        return tf1[inverse], tf2
+        return tf2
 
     x0 = np.zeros(2 * n_bones, dtype=np.float64)
-    *_, (_, tf2), _ = _solve_twists(
-        surfaces, pose, lambda params: (w1, w2), x0, 2 * n_bones, config, "cycle"
+    *_, tf2, _ = _solve_twists(
+        third.vertices, target.vertices, pose, lambda params: w2, x0, 2 * n_bones, config, "cycle"
     )
     out = lbs_apply(third, w2, tf2)
     if config.refinement.enabled:

@@ -55,7 +55,8 @@ def test_transfer_command(puppet_files, capsys):
     assert (d / "out" / "summary.json").is_file()
     assert "refined_edge_loss" in payload
     assert payload["iterations"] >= 0
-    assert payload["stop_reason"] == "converged"
+    # no target mesh, so no residuals: the solve stops at its first evaluation
+    assert payload["stop_reason"] == "zero_gradient"
 
 
 def test_transfer_via_target_mesh_and_regressor(puppet_files, capsys):
@@ -219,8 +220,8 @@ def test_transfer_config_typo_exits_1(puppet_files, capsys):
             {"gmm": {"radii": [0.5, -0.5], "optimize_radii": True}},
             "radii must be finite and positive",
         ),
-        ({"loss_weights": {"edge": "x"}}, "loss_weights.edge must be a finite nonnegative"),
-        ({"loss_weights": {"edge": -1.0}}, "loss_weights.edge must be a finite nonnegative"),
+        ({"loss_weights": {"cycle": "x"}}, "loss_weights.cycle must be a finite nonnegative"),
+        ({"loss_weights": {"self": -1.0}}, "loss_weights.self must be a finite nonnegative"),
         ({"optimizer": 5}, "optimizer must be a JSON object, not 5"),
         ({"loss_weights": 5}, "loss_weights must be a JSON object, not 5"),
         ({"optimizer": {"tolerance": -1.0}}, "optimizer.tolerance must be nonnegative"),
@@ -228,7 +229,7 @@ def test_transfer_config_typo_exits_1(puppet_files, capsys):
         ({"optimizer": {"tolerance": HUGE_INT}}, "optimizer.tolerance must be a finite number"),
         ({"optimizer": {"step_size": HUGE_INT}}, "optimizer.step_size must be a finite number"),
         ({"refinement": {"ridge": HUGE_INT}}, "refinement.ridge must be a finite number"),
-        ({"loss_weights": {"edge": HUGE_INT}}, "loss_weights.edge must be a finite nonnegative"),
+        ({"loss_weights": {"cycle": HUGE_INT}}, "loss_weights.cycle must be a finite nonnegative"),
         ({"gmm": {"temperature": HUGE_INT}}, "gmm.temperature must be a finite number"),
         ({"gmm": {"radii": ["0.5", 0.5]}}, "gmm.radii must be finite and positive"),
         ({"gmm": {"radii": [True, 0.5]}}, "gmm.radii must be finite and positive"),
@@ -238,6 +239,7 @@ def test_transfer_config_typo_exits_1(puppet_files, capsys):
         ({"loss_weights": {"keypoint": 2.0}}, "unknown loss_weights keys: ['keypoint']"),
         ({"gmm": {"temperature": 0}}, "gmm.temperature must be positive"),
         ({"gmm": {"radii": [0.5]}}, "gmm.radii must hold one radius per bone (2), not 1"),
+        ({"loss_weights": {"edge": 0.0005}}, "unknown loss_weights keys: ['edge']"),
     ],
 )
 def test_transfer_bad_config_value_exits_1(puppet_files, capsys, block, message):

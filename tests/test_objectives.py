@@ -25,7 +25,7 @@ def path_mesh(coords):
 
 def test_loss_weights_defaults():
     w = LossWeights()
-    assert (w.lambda_cycle, w.lambda_self, w.lambda_edge) == (1.0, 1.0, 0.0005)
+    assert (w.lambda_cycle, w.lambda_self) == (1.0, 1.0)
 
 
 def test_loss_weights_dict_round_trip():
@@ -37,25 +37,25 @@ def test_loss_weights_dict_round_trip():
 
 def test_loss_weights_accept_loss_names():
     # the names of LossBreakdown.to_dict, as written in losses.jsonl
-    w = LossWeights.from_dict({"cycle": 0.5, "self": 2.0, "edge": 0.25})
-    assert w == LossWeights(0.5, 2.0, 0.25)
-    assert LossWeights.from_dict({"self": 2.0, "lambda_edge": 0.5}) == LossWeights(
-        lambda_self=2.0, lambda_edge=0.5
+    w = LossWeights.from_dict({"cycle": 0.5, "self": 2.0})
+    assert w == LossWeights(0.5, 2.0)
+    assert LossWeights.from_dict({"self": 2.0, "lambda_cycle": 0.5}) == LossWeights(
+        lambda_cycle=0.5, lambda_self=2.0
     )
     with pytest.raises(ValueError, match="twice"):
-        LossWeights.from_dict({"edge": 1.0, "lambda_edge": 1.0})
+        LossWeights.from_dict({"cycle": 1.0, "lambda_cycle": 1.0})
     with pytest.raises(ValueError, match=r"\['total'\]"):
         LossWeights.from_dict({"total": 1.0})
-    # the paper's keypoint and skinning terms have no weight here
-    for key in ("keypoint", "skin", "lambda_k", "lambda_skin"):
+    # the paper's keypoint and skinning terms have no weight here, and no
+    # unsupervised edge term is solved for
+    for key in ("keypoint", "skin", "lambda_k", "lambda_skin", "edge", "lambda_edge"):
         with pytest.raises(ValueError, match=rf"unknown loss_weights keys: \['{key}'\]"):
             LossWeights.from_dict({key: 1.0})
 
 
 def test_total_loss_default_weights_unit_components():
-    # 1 + 1 + 0.0005, summed left to right
-    out = total_loss(LossWeights(), cycle=1.0, self_recon=1.0, edge=1.0)
-    assert out.total == 2.0005
+    out = total_loss(LossWeights(), cycle=1.0, self_recon=1.0)
+    assert out.total == 2.0
 
 
 def test_total_loss_zero_components():
@@ -68,7 +68,7 @@ def test_breakdown_json_key_for_self():
     d = LossBreakdown(self_recon=0.5, total=0.5).to_dict()
     assert d["self"] == 0.5
     assert "self_recon" not in d
-    assert set(d) == {"cycle", "self", "edge", "total"}
+    assert set(d) == {"cycle", "self", "total"}
 
 
 def test_edge_discrepancy_hand_value():
@@ -90,11 +90,9 @@ def test_edge_discrepancy_mean_over_edges():
 def test_edge_term_uses_given_rest_lengths():
     d = np.array([[0.0, 0, 0], [3.0, 0, 0], [3.0, 4.0, 0]])
     e = np.array([[0, 1], [1, 2]])
-    value, lengths = edge_term(d, e, np.array([1.0, 4.0]))
-    assert np.array_equal(lengths, [3.0, 4.0])
+    value = edge_term(d, e, np.array([1.0, 4.0]))  # deformed lengths 3 and 4
     assert value == pytest.approx(2.0, abs=1e-15)  # (2^2 + 0^2) / 2
-    value, lengths = edge_term(d, np.zeros((0, 2), int), np.zeros(0))
-    assert value == 0.0 and lengths.shape == (0,)
+    assert edge_term(d, np.zeros((0, 2), int), np.zeros(0)) == 0.0
 
 
 def test_edge_loss_equals_edge_discrepancy():

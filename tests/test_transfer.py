@@ -109,6 +109,23 @@ def test_minimize_starts_at_optimum():
     assert stop == "zero_gradient"
 
 
+@pytest.mark.parametrize("size", [3, 0], ids=["zero", "empty"])
+def test_minimize_zero_residuals_build_no_jacobian(size):
+    # 2 J'r is zero whatever J is, so the solve stops before asking for J
+    calls = []
+
+    def f(x):
+        def jacobian():
+            calls.append(1)
+            return np.eye(size, x.shape[0])
+
+        return 0.0, np.zeros(size), jacobian
+
+    x, values, stop = _minimize(f, np.ones(2), 50, 1.0, 1e-12)
+    assert stop == "zero_gradient" and values == [0.0]
+    assert np.array_equal(x, np.ones(2)) and calls == []
+
+
 def test_minimize_stop_reasons():
     f = squares(np.diag([1.0, 2.0]))
     x0 = np.array([2.0, -1.5])
@@ -368,10 +385,12 @@ def test_transfer_recovers_the_eight_segment_twist():
 
 
 def test_unsupervised_bend_only_transfer_keeps_zero_twist():
-    # twist is invisible to keypoints: the edge term alone must not drift
-    # the twists along its near-flat valley
+    # twist is invisible to keypoints: with no target mesh there is nothing
+    # to fit, so the solve stops at zero twist after one evaluation
     p = make_puppet(8, 0.3, 0.0, 0)
     res = pose_transfer(p.rest_mesh, p.rest_keypoints, p.posed_keypoints, puppet_config(p))
+    assert res.stop_reason == "zero_gradient" and len(res.losses) == 1
+    assert res.losses[0].total == 0.0
     assert np.abs(res.twists.phi).max() <= 1e-6
     assert pmd(res.refined, p.posed_mesh) <= 1e-6
 
@@ -422,6 +441,12 @@ def assert_gradient_matches(f, x):
     assert np.all(np.abs(got - want) <= 1e-5 * np.abs(want) + 1e-9 * value)
 
 
+def assert_no_residuals(f, x):
+    """An unsupervised objective: value 0 and an empty residual vector."""
+    value, r, _ = f(x)
+    assert value == 0.0 and r.shape == (0,)
+
+
 def solve_nothing(puppet):
     cfg = puppet_config(puppet, max_iters=0)
     cfg.refinement.enabled = False
@@ -448,6 +473,9 @@ def test_twist_jacobian_matches_finite_differences(segments, bend, twist, seed, 
     phi = np.array(
         data.draw(st.lists(st.floats(-np.pi, np.pi), min_size=segments, max_size=segments))
     )
+    if not supervised:  # nothing to fit: no residuals, whatever the twists
+        assert_no_residuals(f, phi)
+        return
     # residuals near rounding (an exact fit) make the gradient rounding noise
     assume(f(phi)[0] > 1e-12)
     assert_gradient_matches(f, phi)
@@ -531,6 +559,9 @@ def test_twist_jacobian_matches_finite_differences_on_branching_trees(name, supe
         )
     )
     phi = rng.uniform(-np.pi, np.pi, tree.n_bones)
+    if not supervised:
+        assert_no_residuals(f, phi)
+        return
     assert f(phi)[0] > 1e-12
     assert_gradient_matches(f, phi)
 
@@ -875,12 +906,12 @@ def test_config_missing_tree():
 def test_config_file_round_trip(tmp_path):
     p = make_puppet(2, 0.0, 0.0, seed=0)
     cfg = TransferConfig(tree=p.tree)
-    cfg.loss_weights.lambda_edge = 0.125
+    cfg.loss_weights.lambda_cycle = 0.125
     cfg.gmm.temperature = 3.5
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
     back = TransferConfig.from_file(path)
-    assert back.loss_weights.lambda_edge == 0.125
+    assert back.loss_weights.lambda_cycle == 0.125
     assert back.gmm.temperature == 3.5
     assert list(back.tree.parents) == list(p.tree.parents)
 
@@ -1106,8 +1137,8 @@ def test_cycle_reconstruct_builds_meshes_only_at_the_boundary(monkeypatch, max_i
 
 
 def test_losses_match_fresh_mesh_breakdowns(monkeypatch):
-    # each history entry equals edge_loss/pmd recomputed on Mesh objects at
-    # the optimizer's accepted iterate
+    # each history entry equals pmd recomputed on Mesh objects at the
+    # optimizer's accepted iterate
     p = make_puppet(3, 0.5, 0.3, seed=4)
     cfg = puppet_config(p, max_iters=12)
     iterates = []  # accepted points of the twist solve
@@ -1142,11 +1173,7 @@ def test_losses_match_fresh_mesh_breakdowns(monkeypatch):
             p.rest_keypoints, rel, p.tree, root_position=p.posed_keypoints.joints[0]
         )
         coarse = lbs_apply(p.rest_mesh, p.weights, tf)
-        want = total_loss(
-            cfg.loss_weights,
-            self_recon=pmd(coarse, p.posed_mesh),
-            edge=edge_loss(p.rest_mesh, coarse),
-        )
+        want = total_loss(cfg.loss_weights, self_recon=pmd(coarse, p.posed_mesh))
         assert got == want
 
 
@@ -1172,40 +1199,6 @@ def test_objective_bug_is_not_mistaken_for_a_rejected_step(monkeypatch):
             target_mesh=p.posed_mesh,
             weights=p.weights,
         )
-
-
-def test_step_that_collapses_an_edge_is_rejected(monkeypatch):
-    p = make_puppet(2, 0.4, 0.5, seed=0)
-    limit = 0.1
-    seen = {"collapsed": 0}
-    real_ik, real_blend = transfer.scalable_ik, transfer.lbs_blend
-
-    def ik(source, target, twists, tree):
-        seen["phi"] = twists.phi
-        return real_ik(source, target, twists, tree)
-
-    def blend(vertices, weights, transforms):
-        out = real_blend(vertices, weights, transforms)
-        if np.abs(seen["phi"]).max() > limit:
-            # a near-perfect fit with one collapsed edge: accepted unless rejected
-            out = p.posed_mesh.vertices.copy()
-            out[1] = out[0]
-            seen["collapsed"] += 1
-        return out
-
-    monkeypatch.setattr(transfer, "scalable_ik", ik)
-    monkeypatch.setattr(transfer, "lbs_blend", blend)
-    res = pose_transfer(
-        p.rest_mesh,
-        p.rest_keypoints,
-        p.posed_keypoints,
-        puppet_config(p, max_iters=3),
-        target_mesh=p.posed_mesh,
-        weights=p.weights,
-    )
-    assert seen["collapsed"] > 0
-    assert np.abs(res.twists.phi).max() <= limit
-    assert res.stop_reason == "max_iters" and len(res.losses) == 4
 
 
 def test_underflowing_radii_reject_the_step(monkeypatch):
@@ -1242,7 +1235,6 @@ def test_underflowing_radii_reject_the_step(monkeypatch):
 CONFIG_KEY_VALUES = {
     ("loss_weights", "lambda_cycle"): 3.0,
     ("loss_weights", "lambda_self"): 3.0,
-    ("loss_weights", "lambda_edge"): 0.01,
     ("gmm", "temperature"): 3.0,
     ("gmm", "radii"): [0.4, 0.4],
     ("gmm", "optimize_radii"): True,
@@ -1298,6 +1290,11 @@ def config_run_outputs(block=None, key=None):
     )
 
 
+def test_every_config_key_has_one_value():
+    # a deleted key's row must not linger, and a new key needs a row
+    assert set(CONFIG_KEY_VALUES) == set(CONFIG_KEYS)
+
+
 @pytest.mark.parametrize("block, key", CONFIG_KEYS, ids=[f"{b}.{k}" for b, k in CONFIG_KEYS])
 def test_every_config_key_moves_an_output(block, key):
     # a key that moves none of these is a knob that does nothing
@@ -1334,8 +1331,8 @@ HUGE_INT = int("9" * 400)
         ({"optimizer": {"max_iters": -1}}, "optimizer.max_iters", "nonnegative"),
         ({"optimizer": {"step_size": 0}}, "optimizer.step_size", "positive"),
         ({"refinement": {"step_size": -1.0}}, "refinement.step_size", "positive"),
-        ({"loss_weights": {"edge": "x"}}, "loss_weights.edge", "finite nonnegative"),
-        ({"loss_weights": {"edge": -1.0}}, "loss_weights.edge", "finite nonnegative"),
+        ({"loss_weights": {"cycle": "x"}}, "loss_weights.cycle", "finite nonnegative"),
+        ({"loss_weights": {"self": -1.0}}, "loss_weights.self", "finite nonnegative"),
         ({"loss_weights": {"lambda_self": True}}, "loss_weights.lambda_self", "a finite"),
         ({"loss_weights": {"cycle": float("inf")}}, "loss_weights.cycle", "a finite"),
         ({"loss_weights": {"self": None}}, "loss_weights.self", "a finite"),
@@ -1348,7 +1345,7 @@ HUGE_INT = int("9" * 400)
         ({"optimizer": {"tolerance": HUGE_INT}}, "optimizer.tolerance", "a finite number"),
         ({"optimizer": {"step_size": HUGE_INT}}, "optimizer.step_size", "a finite number"),
         ({"refinement": {"ridge": HUGE_INT}}, "refinement.ridge", "a finite number"),
-        ({"loss_weights": {"edge": HUGE_INT}}, "loss_weights.edge", "finite nonnegative"),
+        ({"loss_weights": {"cycle": HUGE_INT}}, "loss_weights.cycle", "finite nonnegative"),
         ({"gmm": {"temperature": HUGE_INT}}, "gmm.temperature", "a finite number"),
         ({"gmm": {"radii": ["0.5", 0.5]}}, "gmm.radii", "finite and positive"),
         ({"gmm": {"radii": [True, 0.5]}}, "gmm.radii", "finite and positive"),
@@ -1376,8 +1373,8 @@ def test_config_must_be_an_object():
 
 
 def test_loss_weights_accept_zero_and_integers():
-    cfg = TransferConfig.from_dict({"tree": "smpl_24", "loss_weights": {"edge": 0, "self": 2}})
-    assert cfg.loss_weights.lambda_edge == 0 and cfg.loss_weights.lambda_self == 2
+    cfg = TransferConfig.from_dict({"tree": "smpl_24", "loss_weights": {"cycle": 0, "self": 2}})
+    assert cfg.loss_weights.lambda_cycle == 0 and cfg.loss_weights.lambda_self == 2
 
 
 def test_config_accepts_ints_for_floats():
