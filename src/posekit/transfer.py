@@ -534,22 +534,22 @@ def cycle_reconstruct(
     The source (identity A) is posed to the target keypoints, then the
     third mesh (identity B, same identity as the target but a different
     pose) is posed onto the intermediate result, and the second output is
-    compared to the target (identity B in the target pose). Twists of both
-    hops are solved jointly by ``_solve_twists`` over one surface, the
-    output, fit to the target by the weighted cycle error as a sum of
-    squared residuals. The intermediate surface is not in the solve: hop 1
-    is posed only for hop 2's targets. Both hops' weights use
-    ``gmm.radii`` as given: ``gmm.optimize_radii`` is read only by
-    ``pose_transfer``.
+    compared to the target (identity B in the target pose). ``_solve_twists``
+    fits that output surface alone to the target by the weighted cycle
+    error as a sum of squared residuals; hop 1 is posed only for hop 2's
+    targets. Weights use ``gmm.radii`` as given: ``gmm.optimize_radii`` is
+    read only by ``pose_transfer``.
 
-    Intermediate keypoints are the first hop's posed joints; passing a
-    regressor re-reads them from the first hop's blended vertices instead.
-    The Jacobian differences the two-hop map from twists to the second
-    hop's bone transforms (which includes the first hop's blend when a
-    regressor reads the intermediate keypoints) and is exact in the
-    vertices. Each evaluation poses its point and all probes in one stacked
-    IK/FK call per hop. The first hop does not depend on the second hop's
-    twists, so it is posed once for all of their probes.
+    Without a regressor, the intermediate keypoints are hop 1's posed
+    joints. A twist moves no joint, so hop 1 is posed once, at zero twist,
+    and the solve is over hop 2's K twists: a supervised self-reconstruction
+    of the target identity at hop 1's joints, which cannot see hop-1 twist.
+    An ``intermediate_regressor`` (tree joints x source vertices) reads them
+    from hop 1's blended vertices instead, and the solve is over both hops'
+    2K twists. Each evaluation then poses its rows in one stacked IK/FK call
+    per hop, hop 1 once per distinct row of its twists; the Jacobian
+    differences the two-hop map, hop 1's blend included, and is exact in the
+    vertices.
     """
     tree = config.tree
     source_kp.validate_for(tree)
@@ -557,31 +557,41 @@ def cycle_reconstruct(
     third_kp.validate_for(tree)
     if not third.same_connectivity(target):
         raise ValueError("third mesh must share the target identity connectivity")
+    regressor = intermediate_regressor
+    if regressor is not None and regressor.matrix.shape != (tree.n_joints, source.n_vertices):
+        raise ValueError(
+            f"intermediate_regressor must be {tree.n_joints} x {source.n_vertices} "
+            f"(tree joints x source vertices), not {regressor.n_joints} x {regressor.n_vertices}"
+        )
     _check_finite(source)
     _check_finite(third)
     gmm = config.gmm
-    w1 = pseudo_weights(source.vertices, source_kp, tree, gmm.temperature, gmm.radii)
     w2 = pseudo_weights(third.vertices, third_kp, tree, gmm.temperature, gmm.radii)
     n_bones = tree.n_bones
 
-    def pose(params):
-        """Second-hop bone transforms for a stack of twist rows; hop 1 is
-        posed once per distinct row of its twists, for hop 2's targets."""
-        rows, inverse = np.unique(params[:, :n_bones], axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        tf1 = _pose_bones(source_kp, target_kp, TwistAngles.wrap(rows), tree)
-        if intermediate_regressor is None:
-            inter = tf1.posed_joints
-        else:
-            blends = np.stack([lbs_blend(source.vertices, w1, tf1[i]) for i in range(len(rows))])
-            inter = regress_keypoints(blends, intermediate_regressor).joints
-        inter_kp = KeypointSet(inter[inverse])
-        tf2 = _pose_bones(third_kp, inter_kp, TwistAngles.wrap(params[:, n_bones:]), tree)
-        return tf2
+    if regressor is None:
+        zero = TwistAngles.wrap(np.zeros(n_bones))
+        inter_kp = KeypointSet(_pose_bones(source_kp, target_kp, zero, tree).posed_joints)
 
-    x0 = np.zeros(2 * n_bones, dtype=np.float64)
+        def pose(params):
+            return _pose_bones(third_kp, inter_kp, TwistAngles.wrap(params), tree)
+
+    else:
+        w1 = pseudo_weights(source.vertices, source_kp, tree, gmm.temperature, gmm.radii)
+
+        def pose(params):
+            """Second-hop bone transforms for a stack of twist rows; hop 1 is
+            posed and blended once per distinct row of its twists."""
+            rows, inverse = np.unique(params[:, :n_bones], axis=0, return_inverse=True)
+            tf1 = _pose_bones(source_kp, target_kp, TwistAngles.wrap(rows), tree)
+            blends = np.stack([lbs_blend(source.vertices, w1, tf1[i]) for i in range(len(rows))])
+            inter_kp = KeypointSet(regress_keypoints(blends, regressor).joints[inverse.reshape(-1)])
+            return _pose_bones(third_kp, inter_kp, TwistAngles.wrap(params[:, n_bones:]), tree)
+
+    n_twists = n_bones if regressor is None else 2 * n_bones
     *_, tf2, _ = _solve_twists(
-        third.vertices, target.vertices, pose, lambda params: w2, x0, 2 * n_bones, config, "cycle"
+        third.vertices, target.vertices, pose, lambda params: w2,
+        np.zeros(n_twists), n_twists, config, "cycle",
     )
     out = lbs_apply(third, w2, tf2)
     if config.refinement.enabled:

@@ -508,6 +508,8 @@ def ring_regressor(puppet, sides=16, rings_per_segment=8):
 
 @pytest.mark.parametrize("with_regressor", [False, True])
 def test_cycle_jacobian_matches_finite_differences(with_regressor):
+    # without a regressor the solve is over hop 2's K twists; with one, over
+    # both hops' 2K
     a = make_puppet(2, 0.6, 0.4, seed=0)
     b = make_puppet(2, 0.6, 0.4, seed=7, radius=0.3)
     c = make_puppet(2, 0.3, 0.0, seed=7, radius=0.3)
@@ -519,8 +521,9 @@ def test_cycle_jacobian_matches_finite_differences(with_regressor):
         )
     )
     rng = np.random.default_rng(5)
+    n_twists = a.tree.n_bones * (2 if with_regressor else 1)
     for _ in range(3):
-        assert_gradient_matches(f, rng.uniform(-np.pi, np.pi, 4))
+        assert_gradient_matches(f, rng.uniform(-np.pi, np.pi, n_twists))
 
 
 def branching_figure(tree, rng):
@@ -593,13 +596,14 @@ def solve_runs(a, b, c, cfg, regressor=None):
 @pytest.mark.parametrize("solve", ["transfer", "cycle"])
 def test_an_evaluation_makes_one_stacked_ik_call_per_hop(monkeypatch, segments, solve):
     # each evaluation poses its point and the 2K probes of its K twists as
-    # rows of one call per hop; the cycle's hop 1 poses only the 2K + 1
-    # distinct rows of its twists among the 4K + 1 rows of both hops' 2K
-    # twists. Jacobians and the result reuse those poses.
+    # rows of one call; without a regressor the cycle poses its first hop
+    # once, at zero twist, before the solve, and solves only the second
+    # hop's K twists. Jacobians and the result reuse those poses.
     a, b, c = small_trio(segments)
     cfg = puppet_config(a, max_iters=3)
     k = segments
-    rows = {"transfer": [2 * k + 1], "cycle": [2 * k + 1, 4 * k + 1]}[solve]
+    rows = [2 * k + 1]
+    before_solve = {"transfer": [], "cycle": [1]}[solve]
     calls, evaluations, jacobians = [], [], []
     real_ik, real_minimize = transfer.scalable_ik, transfer._minimize
 
@@ -634,8 +638,8 @@ def test_an_evaluation_makes_one_stacked_ik_call_per_hop(monkeypatch, segments, 
     assert len(jacobians) >= 2
     assert evaluations and all(made == rows for made in evaluations)
     assert all(made == [] for made in jacobians)
-    # every call was made inside an evaluation: none followed the last one
-    assert sum(evaluations, []) == calls
+    # every other call was made inside an evaluation: none followed the last one
+    assert before_solve + sum(evaluations, []) == calls
 
 
 def pose_rows_alone(pose_bones):
@@ -674,7 +678,7 @@ def test_stacked_objective_equals_posing_every_row_alone(solve, segments, radii,
     cfg = solve_nothing(a)
     cfg.gmm.optimize_radii = radii
     run = solve_runs(a, b, c, cfg, ring_regressor(a) if regressor else None)[solve]
-    n_twists = segments * (2 if solve == "cycle" else 1)
+    n_twists = segments * (2 if regressor else 1)
     rng = np.random.default_rng(segments)
     points = [rng.uniform(-np.pi, np.pi, n_twists) for _ in range(3)]
     if radii:
@@ -711,10 +715,10 @@ def test_cycle_with_a_regressor_that_merges_joints_raises_degenerate_bone():
 
 
 def test_cycle_jacobian_reuses_the_first_hop(monkeypatch):
-    # probes of the second hop's twists leave the first hop's twists as they
-    # are, so they share one posing of the first hop; the Jacobian now makes
-    # no call at all, well inside the per-probe bound of 6K + 1
-    # (test_an_evaluation_makes_one_stacked_ik_call_per_hop pins the rows)
+    # through a regressor the solve is over both hops' 2K twists; probes of
+    # the second hop's twists leave the first hop's twists as they are, so
+    # they share one posing of the first hop; the Jacobian makes no call at
+    # all, well inside the per-probe bound of 6K + 1
     a = make_puppet(2, 0.6, 0.4, seed=0)
     b = make_puppet(2, 0.6, 0.4, seed=7, radius=0.3)
     c = make_puppet(2, 0.3, 0.0, seed=7, radius=0.3)
@@ -724,6 +728,7 @@ def test_cycle_jacobian_reuses_the_first_hop(monkeypatch):
             lambda: cycle_reconstruct(
                 a.rest_mesh, a.rest_keypoints, b.posed_mesh, b.posed_keypoints,
                 c.posed_mesh, c.posed_keypoints, solve_nothing(a),
+                intermediate_regressor=ring_regressor(a),
             )
         )
 
@@ -835,6 +840,63 @@ def test_cycle_reconstruct_through_a_ring_regressor():
         intermediate_regressor=regressor,
     )
     assert err <= 5e-3
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    segments=st.integers(1, 3),
+    bend=st.floats(0.1, 1.2),
+    twist=st.floats(-1.0, 1.0),
+    seed=st.integers(0, 2**16),
+    weight=st.sampled_from([1.0, 3.0]),
+)
+def test_cycle_without_a_regressor_is_one_supervised_hop(segments, bend, twist, seed, weight):
+    # a twist moves no joint, so the first hop's joints are those at zero
+    # twist, and the cycle is the third mesh's transfer onto them,
+    # supervised by the target
+    a = make_puppet(segments, bend, twist, seed, sides=8, rings_per_segment=3)
+    b = make_puppet(segments, bend, twist, seed + 1, radius=0.3, sides=8, rings_per_segment=3)
+    c = make_puppet(segments, bend / 2, 0.0, seed + 1, radius=0.3, sides=8, rings_per_segment=3)
+    cfg = puppet_config(a)
+    cfg.loss_weights.lambda_self = cfg.loss_weights.lambda_cycle = weight
+    zero = TwistAngles(np.zeros(a.tree.n_bones))
+    rel = scalable_ik(a.rest_keypoints, b.posed_keypoints, zero, a.tree)
+    hop1 = forward_kinematics(
+        a.rest_keypoints, rel, a.tree, root_position=b.posed_keypoints.joints[0]
+    )
+    one_hop = pose_transfer(
+        c.posed_mesh, c.posed_keypoints, KeypointSet(hop1.posed_joints), cfg,
+        target_mesh=b.posed_mesh,
+    )
+    err = cycle_reconstruct(
+        a.rest_mesh, a.rest_keypoints, b.posed_mesh, b.posed_keypoints,
+        c.posed_mesh, c.posed_keypoints, cfg,
+    )
+    assert err == pytest.approx(pmd(one_hop.refined, b.posed_mesh), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("extra_rows, extra_columns", [(1, 0), (0, -1)], ids=["rows", "columns"])
+def test_cycle_rejects_a_misshapen_regressor_before_building_weights(
+    monkeypatch, extra_rows, extra_columns
+):
+    a = make_puppet(2, 0.6, 0.4, seed=0)
+    b = make_puppet(2, 0.6, 0.4, seed=7, radius=0.3)
+    c = make_puppet(2, 0.3, 0.0, seed=7, radius=0.3)
+    n_rows, n_columns = a.tree.n_joints + extra_rows, a.rest_mesh.n_vertices + extra_columns
+    regressor = JointRegressor(np.full((n_rows, n_columns), 1.0 / n_columns))
+    built = []
+    monkeypatch.setattr(transfer, "pseudo_weights", lambda *args: built.append(1))
+    want = (
+        f"intermediate_regressor must be {a.tree.n_joints} x {a.rest_mesh.n_vertices} "
+        rf"\(tree joints x source vertices\), not {n_rows} x {n_columns}"
+    )
+    with pytest.raises(ValueError, match=want):
+        cycle_reconstruct(
+            a.rest_mesh, a.rest_keypoints, b.posed_mesh, b.posed_keypoints,
+            c.posed_mesh, c.posed_keypoints, puppet_config(a),
+            intermediate_regressor=regressor,
+        )
+    assert built == []
 
 
 def test_cycle_reconstruct_connectivity_guard():
