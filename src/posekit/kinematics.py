@@ -576,16 +576,27 @@ def scalable_ik(
     (B, K, 3, 3) stack whose row b is the call on twist row b and target b;
     a single twist row or target serves every row.
     """
+    return _ik_twists(_ik_setup(source, target, tree), twists, tree)
+
+
+def _ik_setup(source: KeypointSet, target: KeypointSet, tree: KinematicTree):
+    """``scalable_ik``'s twist-free half: both keypoint sets validated, then the
+    root orientation, source bone vectors and unit target aims, built once."""
     source.validate_for(tree)
     target.validate_for(tree)
+    root = root_orientation(source, target, tree)
+    return root, source.bone_vectors(tree), _unit(target.bone_vectors(tree), "scalable_ik")
+
+
+def _ik_twists(setup, twists: TwistAngles, tree: KinematicTree) -> np.ndarray:
+    """``scalable_ik``'s twist half: the parents-first loop over stacked twist rows."""
+    root, bones, aims = setup
     n = tree.n_joints
     phi = twists.phi
     if phi.shape[-1] != tree.n_bones:
         raise ValueError("twist count does not match bone count")
-    world = np.empty(np.broadcast_shapes(phi.shape[:-1], target.joints.shape[:-2]) + (n, 3, 3))
-    world[..., 0, :, :] = root_orientation(source, target, tree)
-    # each direction is normalized once, and the swing and twist share it
-    bones, aims = source.bone_vectors(tree), _unit(target.bone_vectors(tree), "scalable_ik")
+    world = np.empty(np.broadcast_shapes(phi.shape[:-1], aims.shape[:-2]) + (n, 3, 3))
+    world[..., 0, :, :] = root
     for j in range(1, n):
         p = int(tree.parents[j])
         cur = _unit(world[..., p, :, :] @ bones[j - 1], "scalable_ik")

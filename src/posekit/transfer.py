@@ -17,12 +17,13 @@ from .kinematics import (
     BoneTransformSet,
     _TREES,
     _from_file,
+    _ik_setup,
+    _ik_twists,
     _settings,
     forward_kinematics,
     load_keypoints,
     load_tree,
     regress_keypoints,
-    scalable_ik,
 )
 from .mesh import Mesh, edge_lengths, load_mesh, pmd, save_mesh
 from .objectives import (
@@ -279,10 +280,17 @@ def _tangents(probed: BoneTransformSet, widths) -> BoneTransformSet:
     ))
 
 
-def _pose_bones(rest_kp, target_kp, twists, tree) -> BoneTransformSet:
-    """Bone transforms posing ``rest_kp`` onto ``target_kp``, rooted at its root; stacks too."""
-    rel = scalable_ik(rest_kp, target_kp, twists, tree)
-    return forward_kinematics(rest_kp, rel, tree, root_position=target_kp.joints[..., 0, :])
+def _poser(rest_kp, target_kp, tree):
+    """The map from twists (wrapped here; stacks too) to the bone transforms
+    posing ``rest_kp`` onto ``target_kp`` (or a stack), rooted at its root. IK's
+    twist-free setup runs once, here: a call runs only ``_ik_twists`` and FK."""
+    setup, root = _ik_setup(rest_kp, target_kp, tree), target_kp.joints[..., 0, :]
+
+    def pose(twists):
+        rel = _ik_twists(setup, TwistAngles.wrap(twists), tree)
+        return forward_kinematics(rest_kp, rel, tree, root_position=root)
+
+    return pose
 
 
 def _check_finite(mesh: Mesh) -> None:
@@ -311,8 +319,9 @@ def _solve_twists(vertices, target, pose, skinning, x0, n_twists, config: Transf
     Each evaluation makes one ``pose`` call on the twists and all their
     probes as rows (``_probes``): row 0 gives the residuals and the others
     the twist columns of the Jacobian (``_tangents``), exact in the vertices
-    as LBS is linear in the transforms. Further parameters (the log radii
-    under ``optimize_radii``) get central differences of the residuals.
+    as LBS is linear in the transforms: one product of its design matrix with
+    the tangents' ``[R | t]``. Further parameters (the log radii under
+    ``optimize_radii``) get central differences of the residuals.
 
     Returns ``(x, stop_reason, losses, transforms, skin)``: the final point,
     why the solve ended, the breakdowns of the accepted evaluations, and
@@ -322,6 +331,7 @@ def _solve_twists(vertices, target, pose, skinning, x0, n_twists, config: Transf
     fit_weight = {"self_recon": lw.lambda_self, "cycle": lw.lambda_cycle}[fit]
     # r @ r is the weighted total: lambda * mean of squares
     scale = np.sqrt(fit_weight / vertices.shape[0])
+    homogeneous = np.concatenate([vertices, np.ones((len(vertices), 1))], axis=1)
 
     def residuals(params, transforms):
         """Breakdown, residuals and skinning weights; None to reject."""
@@ -351,9 +361,12 @@ def _solve_twists(vertices, target, pose, skinning, x0, n_twists, config: Transf
 
         def jacobian():
             jac = np.empty((r.shape[0], params.shape[0]))
+            # LBS maps the [R | t] rows by w_ik [v_i, 1]: one design matrix
+            design = np.einsum("nk,nj->nkj", skin.weights, homogeneous).reshape(len(vertices), -1)
             tangents = _tangents(stacked[1:], widths)
-            for m in range(n_twists):
-                jac[:, m] = scale * lbs_blend(vertices, skin, tangents[m]).ravel()
+            maps = np.concatenate([tangents.rotations, tangents.translations[..., None]], -1)
+            maps = maps.transpose(1, 3, 2, 0).reshape(design.shape[1], 3 * n_twists)
+            jac[:, :n_twists] = scale * (design @ maps).reshape(r.shape[0], n_twists)
             points, spans = _probes(params)  # radii probes: the twists stay as they are
             for m in range(n_twists, params.shape[0]):
                 lo, hi = (residuals(points[i], transforms) for i in (m, m + params.shape[0]))
@@ -426,8 +439,7 @@ def pose_transfer(
         weights = pseudo_weights(c_mesh.vertices, c_kp, tree, gmm.temperature, gmm.radii)
     n_bones = tree.n_bones
 
-    def pose(twists):
-        return _pose_bones(source_kp, target_kp, TwistAngles.wrap(twists), tree)
+    pose = _poser(source_kp, target_kp, tree)
 
     def skinning(params):
         """Skinning weights; None if the radii under- or overflow."""
@@ -544,12 +556,12 @@ def cycle_reconstruct(
     joints. A twist moves no joint, so hop 1 is posed once, at zero twist,
     and the solve is over hop 2's K twists: a supervised self-reconstruction
     of the target identity at hop 1's joints, which cannot see hop-1 twist.
+    The error then does not depend on the source mesh, of which only the
+    finiteness is checked: only hop 1's joints are read, never its surface.
     An ``intermediate_regressor`` (tree joints x source vertices) reads them
     from hop 1's blended vertices instead, and the solve is over both hops'
-    2K twists. Each evaluation then poses its rows in one stacked IK/FK call
-    per hop, hop 1 once per distinct row of its twists; the Jacobian
-    differences the two-hop map, hop 1's blend included, and is exact in the
-    vertices.
+    2K twists, hop 1 posed once per distinct row of its twists; the Jacobian
+    differences the two-hop map, hop 1's blend included.
     """
     tree = config.tree
     source_kp.validate_for(tree)
@@ -569,24 +581,21 @@ def cycle_reconstruct(
     w2 = pseudo_weights(third.vertices, third_kp, tree, gmm.temperature, gmm.radii)
     n_bones = tree.n_bones
 
+    hop1 = _poser(source_kp, target_kp, tree)
     if regressor is None:
-        zero = TwistAngles.wrap(np.zeros(n_bones))
-        inter_kp = KeypointSet(_pose_bones(source_kp, target_kp, zero, tree).posed_joints)
-
-        def pose(params):
-            return _pose_bones(third_kp, inter_kp, TwistAngles.wrap(params), tree)
-
+        inter_kp = KeypointSet(hop1(np.zeros(n_bones)).posed_joints)
+        pose = _poser(third_kp, inter_kp, tree)
     else:
         w1 = pseudo_weights(source.vertices, source_kp, tree, gmm.temperature, gmm.radii)
 
         def pose(params):
-            """Second-hop bone transforms for a stack of twist rows; hop 1 is
-            posed and blended once per distinct row of its twists."""
+            """Second-hop bone transforms for a stack of twist rows; hop 1 is posed
+            and blended once per distinct row, hop 2 set up anew for its targets."""
             rows, inverse = np.unique(params[:, :n_bones], axis=0, return_inverse=True)
-            tf1 = _pose_bones(source_kp, target_kp, TwistAngles.wrap(rows), tree)
+            tf1 = hop1(rows)
             blends = np.stack([lbs_blend(source.vertices, w1, tf1[i]) for i in range(len(rows))])
             inter_kp = KeypointSet(regress_keypoints(blends, regressor).joints[inverse.reshape(-1)])
-            return _pose_bones(third_kp, inter_kp, TwistAngles.wrap(params[:, n_bones:]), tree)
+            return _poser(third_kp, inter_kp, tree)(params[:, n_bones:])
 
     n_twists = n_bones if regressor is None else 2 * n_bones
     *_, tf2, _ = _solve_twists(

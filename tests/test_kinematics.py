@@ -26,6 +26,7 @@ from posekit import (
     swing_rotation,
     twist_rotation,
 )
+from posekit.transfer import _poser
 
 
 def rodrigues(axis, angle):
@@ -659,6 +660,57 @@ def test_stacked_ik_and_fk_rows_equal_single_calls(pair):
             single = forward_kinematics(src, rel[b], tree, root_position=one.joints[0])
             for name in ("relative", "rotations", "translations", "posed_joints"):
                 assert np.max(np.abs(getattr(tf[b], name) - getattr(single, name))) <= 1e-12
+
+
+def assert_poser_is_fk_of_ik(tree, src, targets, rows):
+    """``_poser``, built once, equals FK of ``scalable_ik`` bit for bit on
+    each of several calls, for raw twists that it wraps itself."""
+    target = KeypointSet(targets)
+    pose = _poser(src, target, tree)
+    for phi in (rows, -2.0 * rows, rows[..., ::-1]):
+        rel = scalable_ik(src, target, TwistAngles.wrap(phi), tree)
+        want = forward_kinematics(src, rel, tree, root_position=targets[..., 0, :])
+        got = pose(phi)
+        for name in ("relative", "rotations", "translations", "posed_joints"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@PROPERTY
+@given(skeleton_pairs())
+def test_poser_equals_fk_of_ik_on_random_trees(pair):
+    tree, src, tgt, twists = pair
+    leaf, parent = tree.n_joints - 1, int(tree.parents[-1])
+    folded = src.joints.copy()  # the leaf bone folded back: an antiparallel swing
+    folded[leaf] = 2.0 * src.joints[parent] - src.joints[leaf]
+    targets = np.stack([tgt.joints, src.joints, folded])
+    rows = np.stack([twists.phi, np.zeros_like(twists.phi), 3.0 * twists.phi])
+    assert_poser_is_fk_of_ik(tree, src, tgt.joints, twists.phi)  # one row, one target
+    assert_poser_is_fk_of_ik(tree, src, tgt.joints, rows)  # stacked twist rows
+    assert_poser_is_fk_of_ik(tree, src, targets, twists.phi)  # stacked targets
+    assert_poser_is_fk_of_ik(tree, src, targets, rows)  # both, row b on target b
+
+
+@pytest.mark.parametrize("name", ["smpl_24", "smal_33"])
+def test_poser_equals_fk_of_ik_on_bundled_trees(name):
+    tree = bundled_tree(name)
+    rng = np.random.default_rng(4)
+    src = _random_pose(tree, rng)
+    targets = np.stack([_random_pose(tree, rng, scale=2.0).joints for _ in range(3)])
+    rows = rng.uniform(-4.0, 4.0, (3, tree.n_bones))
+    assert_poser_is_fk_of_ik(tree, src, targets[0], rows[0])
+    assert_poser_is_fk_of_ik(tree, src, targets[0], rows)
+    assert_poser_is_fk_of_ik(tree, src, targets, rows)
+
+
+def test_poser_rejects_a_degenerate_target_bone_when_built():
+    tree = bundled_tree("smpl_24")
+    rng = np.random.default_rng(5)
+    src = _random_pose(tree, rng)
+    bad = src.joints.copy()
+    bad[7] = bad[tree.parents[7]]
+    for target in (bad, np.stack([src.joints, bad])):
+        with pytest.raises(ValueError, match="degenerate bone"):
+            _poser(src, KeypointSet(target), tree)
 
 
 @PROPERTY

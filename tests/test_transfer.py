@@ -12,6 +12,7 @@ from posekit import (
     GmmParams,
     JointRegressor,
     KeypointSet,
+    KinematicTree,
     SkinningMatrix,
     TransferConfig,
     bone_centers,
@@ -569,6 +570,67 @@ def test_twist_jacobian_matches_finite_differences_on_branching_trees(name, supe
     assert_gradient_matches(f, phi)
 
 
+def gemm_case(name):
+    """A run whose objective's Jacobian has twist columns, and a point to take it at."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    base = name.removesuffix("_radii")
+    if base.startswith("chain"):
+        p = make_puppet(int(base[5:]), 0.5, 0.4, seed=3)
+        rest, rest_kp, target_kp, target, cfg = (
+            p.rest_mesh, p.rest_keypoints, p.posed_keypoints, p.posed_mesh, solve_nothing(p)
+        )
+    elif name == "regressor_cycle":  # 2K twists over K bones
+        a = make_puppet(2, 0.6, 0.4, seed=0)
+        b = make_puppet(2, 0.6, 0.4, seed=7, radius=0.3)
+        c = make_puppet(2, 0.3, 0.0, seed=7, radius=0.3)
+        run = solve_runs(a, b, c, solve_nothing(a), ring_regressor(a))["cycle"]
+        return run, rng.uniform(-np.pi, np.pi, 4)
+    else:  # a bundled tree, or a random one of 2-33 joints
+        n = int(rng.integers(2, 34))
+        tree = bundled_tree(base) if base.startswith("sm") else KinematicTree(
+            [-1] + [int(rng.integers(0, j)) for j in range(1, n)]
+        )
+        rest, rest_kp, target_kp, target = branching_figure(tree, rng)
+        cfg = TransferConfig(tree=tree)
+        cfg.optimizer.max_iters = 0
+        cfg.refinement.enabled = False
+    k = cfg.tree.n_bones
+    x = rng.uniform(-np.pi, np.pi, k)
+    if name.endswith("radii"):
+        cfg.gmm.optimize_radii = True
+        x = np.concatenate([x, np.log(rng.uniform(0.3, 0.8, k))])
+    return lambda: pose_transfer(rest, rest_kp, target_kp, cfg, target_mesh=target), x
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["chain1", "chain3", "chain8", "chain3_radii", "random0", "random1", "random2",
+     "smpl_24", "smal_33", "smpl_24_radii", "regressor_cycle"],
+)
+def test_gemm_twist_columns_equal_a_blend_per_tangent(name):
+    # the Jacobian's twist columns, one design-matrix product, against one
+    # lbs_blend of each _tangents row, scaled as the residuals are
+    run, x = gemm_case(name)
+    f = captured_objective(run)
+    blends, tangents = [], []
+    real_blend, real_tangents = transfer.lbs_blend, transfer._tangents
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "lbs_blend", lambda *a: blends.append(a) or real_blend(*a))
+        mp.setattr(transfer, "_tangents", lambda *a: tangents.append(real_tangents(*a)) or tangents[-1])
+        _, r, jacobian = f(x)
+        vertices, skin, _ = blends[-1]  # the residuals' blend: the weights at x
+        jac = jacobian()
+    rows = tangents[-1]
+    n_twists = rows.rotations.shape[0]
+    assert len(tangents) == 1 and r.shape == (3 * len(vertices),)
+    scale = np.sqrt(1.0 / len(vertices))
+    want = np.stack(
+        [scale * real_blend(vertices, skin, rows[m]).ravel() for m in range(n_twists)], axis=1
+    )
+    got = jac[:, :n_twists]
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=0))
+
+
 def small_trio(segments):
     """Source, target and third puppets of a cycle, small enough for many solves."""
     return (
@@ -596,8 +658,8 @@ def solve_runs(a, b, c, cfg, regressor=None):
 @pytest.mark.parametrize("solve", ["transfer", "cycle"])
 def test_an_evaluation_makes_one_stacked_ik_call_per_hop(monkeypatch, segments, solve):
     # each evaluation poses its point and the 2K probes of its K twists as
-    # rows of one call; without a regressor the cycle poses its first hop
-    # once, at zero twist, before the solve, and solves only the second
+    # rows of one twist pass; without a regressor the cycle poses its first
+    # hop once, at zero twist, before the solve, and solves only the second
     # hop's K twists. Jacobians and the result reuse those poses.
     a, b, c = small_trio(segments)
     cfg = puppet_config(a, max_iters=3)
@@ -605,11 +667,11 @@ def test_an_evaluation_makes_one_stacked_ik_call_per_hop(monkeypatch, segments, 
     rows = [2 * k + 1]
     before_solve = {"transfer": [], "cycle": [1]}[solve]
     calls, evaluations, jacobians = [], [], []
-    real_ik, real_minimize = transfer.scalable_ik, transfer._minimize
+    real_ik, real_minimize = transfer._ik_twists, transfer._minimize
 
-    def counted_ik(*args):  # the twist rows of each call
-        calls.append(len(np.atleast_2d(args[2].phi)))
-        return real_ik(*args)
+    def counted_ik(setup, twists, tree):  # the twist rows of each pass
+        calls.append(len(np.atleast_2d(twists.phi)))
+        return real_ik(setup, twists, tree)
 
     def counted(f):
         def evaluate(x):
@@ -630,7 +692,7 @@ def test_an_evaluation_makes_one_stacked_ik_call_per_hop(monkeypatch, segments, 
 
         return evaluate
 
-    monkeypatch.setattr(transfer, "scalable_ik", counted_ik)
+    monkeypatch.setattr(transfer, "_ik_twists", counted_ik)
     monkeypatch.setattr(
         transfer, "_minimize", lambda f, *args, **kw: real_minimize(counted(f), *args, **kw)
     )
@@ -642,22 +704,25 @@ def test_an_evaluation_makes_one_stacked_ik_call_per_hop(monkeypatch, segments, 
     assert before_solve + sum(evaluations, []) == calls
 
 
-def pose_rows_alone(pose_bones):
-    """``pose_bones`` with each row of a stack posed by its own unstacked call."""
+def pose_rows_alone(poser, posed):
+    """``poser`` whose posers pose each row of a stack by a poser of its own
+    target, called on that row alone; ``posed`` collects the row counts."""
 
-    def rowwise(rest_kp, target_kp, twists, tree):
-        phi = np.atleast_2d(twists.phi)
-        joints = np.broadcast_to(target_kp.joints, phi.shape[:1] + target_kp.joints.shape[-2:])
-        rows = [
-            pose_bones(rest_kp, KeypointSet(joints[i]), TwistAngles(phi[i]), tree)
-            for i in range(phi.shape[0])
-        ]
-        return transfer.BoneTransformSet(*(
-            np.stack([getattr(tf, name) for tf in rows])
-            for name in ("relative", "rotations", "translations", "posed_joints")
-        ))
+    def rowwise_poser(rest_kp, target_kp, tree):
+        def pose(twists):
+            phi = np.atleast_2d(twists)
+            joints = np.broadcast_to(target_kp.joints, phi.shape[:1] + target_kp.joints.shape[-2:])
+            rows = [poser(rest_kp, KeypointSet(joints[i]), tree)(phi[i]) for i in range(len(phi))]
+            posed.append(len(rows))
+            stack = transfer.BoneTransformSet(*(
+                np.stack([getattr(tf, name) for tf in rows])
+                for name in ("relative", "rotations", "translations", "posed_joints")
+            ))
+            return stack if np.ndim(twists) > 1 else stack[0]
 
-    return rowwise
+        return pose
+
+    return rowwise_poser
 
 
 @pytest.mark.parametrize(
@@ -688,10 +753,12 @@ def test_stacked_objective_equals_posing_every_row_alone(solve, segments, radii,
         f = captured_objective(run)
         return [(value, r, jacobian()) for value, r, jacobian in map(f, points)]
 
-    stacked = evaluations()
+    stacked, posed = evaluations(), []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transfer, "_pose_bones", pose_rows_alone(transfer._pose_bones))
+        mp.setattr(transfer, "_poser", pose_rows_alone(transfer._poser, posed))
         reference = evaluations()
+    # the patch reached every evaluation: each posed its point and 2K probes
+    assert posed.count(2 * n_twists + 1) >= len(points)
     for (value, r, jac), (want_value, want_r, want_jac) in zip(stacked, reference):
         assert value == want_value
         assert np.array_equal(r, want_r)
@@ -741,13 +808,13 @@ def test_cycle_jacobian_reuses_the_first_hop(monkeypatch):
         f(x)
         assert f(y)[0] == objective()(y)[0]
     _, _, jacobian = f(x)
-    real, calls = transfer.scalable_ik, []
+    real, calls = transfer._ik_twists, []
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(transfer, "scalable_ik", counted)
+    monkeypatch.setattr(transfer, "_ik_twists", counted)
     jacobian()
     k = a.tree.n_bones
     assert len(calls) <= 6 * k + 1
@@ -873,6 +940,23 @@ def test_cycle_without_a_regressor_is_one_supervised_hop(segments, bend, twist, 
         c.posed_mesh, c.posed_keypoints, cfg,
     )
     assert err == pytest.approx(pmd(one_hop.refined, b.posed_mesh), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("segments", [1, 3])
+def test_cycle_without_a_regressor_does_not_read_the_source_mesh(segments):
+    # hop 1 gives only its joints, posed from the source keypoints: another
+    # valid source mesh, of another surface and vertex count, changes no bit
+    a, b, c = small_trio(segments)
+    other = make_puppet(segments, 1.1, -0.7, seed=3, radius=0.4)
+    assert other.posed_mesh.n_vertices != a.rest_mesh.n_vertices
+    errors = [
+        cycle_reconstruct(
+            mesh, a.rest_keypoints, b.posed_mesh, b.posed_keypoints,
+            c.posed_mesh, c.posed_keypoints, puppet_config(a),
+        )
+        for mesh in (a.rest_mesh, a.posed_mesh, other.posed_mesh)
+    ]
+    assert errors[0] > 0.0 and errors[1] == errors[0] and errors[2] == errors[0]
 
 
 @pytest.mark.parametrize("extra_rows, extra_columns", [(1, 0), (0, -1)], ids=["rows", "columns"])
@@ -1243,7 +1327,7 @@ def test_objective_bug_is_not_mistaken_for_a_rejected_step(monkeypatch):
     # a shape bug past the first evaluation must surface with its own
     # message, not pass for a rejected step that ends the line search
     p = make_puppet(2, 0.4, 0.3, seed=0)
-    real = transfer.scalable_ik
+    real = transfer._ik_twists
     calls = []
 
     def buggy_ik(*args):
@@ -1251,7 +1335,7 @@ def test_objective_bug_is_not_mistaken_for_a_rejected_step(monkeypatch):
         rel = real(*args)
         return rel if len(calls) == 1 else rel[..., :-1, :, :]
 
-    monkeypatch.setattr(transfer, "scalable_ik", buggy_ik)
+    monkeypatch.setattr(transfer, "_ik_twists", buggy_ik)
     with pytest.raises(ValueError, match="one 3x3 rotation per bone"):
         pose_transfer(
             p.rest_mesh,
