@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .kinematics import (
+    EPS_PARALLEL,
     JointRegressor,
     KeypointSet,
     KinematicTree,
@@ -20,10 +21,12 @@ from .kinematics import (
     _ik_setup,
     _ik_twists,
     _settings,
+    _unit,
     forward_kinematics,
     load_keypoints,
     load_tree,
     regress_keypoints,
+    skew,
 )
 from .mesh import Mesh, edge_lengths, load_mesh, pmd, save_mesh
 from .objectives import (
@@ -261,23 +264,29 @@ def _descend(f, grad, x0, max_iters, step_size, tolerance):
     return x
 
 
-def _probes(x):
-    """Rows x - h_j e_j, then rows x + h_j e_j, and the widths 2 h_j, with
-    h_j = 1e-5 * (1 + |x_j|), the step ``numerical_gradient`` takes."""
-    h = 1e-5 * (1.0 + np.abs(x))
-    return np.concatenate([x - np.diag(h), x + np.diag(h)]), 2.0 * h
+def _twist_derivatives(rest_kp: KeypointSet, tf: BoneTransformSet, tree):
+    """d rotations / d phi_m and d translations / d phi_m of ``tf``, one
+    posing by ``_poser``, in closed form: (K, K, 3, 3) and (K, K, 3), row m.
 
-
-def _tangents(probed: BoneTransformSet, widths) -> BoneTransformSet:
-    """The stack whose row m is the central difference along twist
-    coordinate m of ``probed``, the stacked transforms at the probes
-    (``_probes``) of widths ``widths``. LBS is linear in the transforms, so
-    ``lbs_blend`` of row m is the vertices' derivative."""
-    k = widths.shape[0]
-    return BoneTransformSet(*(
-        (a[k:] - a[:k]) / widths.reshape((k,) + (1,) * (a.ndim - 1))
-        for a in (probed.relative, probed.rotations, probed.translations, probed.posed_joints)
-    ))
+    Twist m turns bone m's frame about its unit aim a_m at unit rate; a child
+    whose parent frame turns about a_p at rate kappa turns about its aim a_c
+    at rate ``kappa a_p.(u_c + a_c) / (1 + u_c.a_c)``, u_c being its
+    direction before its swing. That rate is 0 off the root and where
+    ``_swing`` folds a bone back (antiparallel), which leaves it undefined.
+    No joint moves: dt = -dR times the parent joint's rest position.
+    """
+    dirs = _unit(rest_kp.bone_vectors(tree), "twist rate")[:, :, None]
+    glob, up = tf.rotations, tree.parents[1:] - 1  # up: each bone's parent bone; -1 off the root
+    aims = (glob @ dirs)[..., 0]
+    s = (glob[up] @ dirs)[..., 0] + aims  # u + a: |s|^2 = 2 (1 + u.a); |s| = |u x a| at a fold
+    sq = np.einsum("ki,ki->k", s, s)
+    turns = (up >= 0) & (sq >= EPS_PARALLEL**2)
+    rate = 2.0 * np.einsum("ki,ki->k", aims[up], s) / np.where(turns, sq, 1.0)
+    kappa = np.eye(len(up))  # kappa[j, m]: bone j's rate along twist m
+    for j in np.flatnonzero(turns):
+        kappa[j] += rate[j] * kappa[up[j]]
+    rotations = kappa.T[:, :, None, None] * (skew(aims) @ glob)
+    return rotations, -(rotations @ rest_kp.joints[tree.parents[1:], :, None])[..., 0]
 
 
 def _poser(rest_kp, target_kp, tree):
@@ -301,27 +310,25 @@ def _check_finite(mesh: Mesh) -> None:
         raise DivergenceError("rest edge lengths are not finite")
 
 
-def _solve_twists(vertices, target, pose, skinning, x0, n_twists, config: TransferConfig, fit: str):
+def _solve_twists(vertices, target, rest_kp, pose, skinning, x0, config: TransferConfig, fit: str):
     """Levenberg-Marquardt (``_minimize``) from ``x0`` over one skinned surface.
 
-    ``vertices`` are the surface's rest vertices and ``target`` the vertices
-    its posed state is fit to, or None. ``pose`` maps a stack of twist rows
-    to a stacked BoneTransformSet, and ``skinning(params)`` gives the
-    SkinningMatrix, or None to reject ``params``. The residuals are
-    ``sqrt(lambda / N)`` times the posed minus the target vertices, so that
-    ``r @ r`` is the ``total_loss`` total under ``config.loss_weights`` with
-    the target PMD as its ``fit`` term ("self_recon" or "cycle"). Without a
-    target there are no residuals, and ``_minimize`` stops at ``x0`` before
-    it asks for a Jacobian. The solve runs under ``config.optimizer``.
-    ``cycle_reconstruct`` fits its output surface alone: its intermediate
-    surface is not in the solve.
+    ``vertices`` and ``rest_kp`` are the surface's rest state, and ``target``
+    the vertices its posed state is fit to, or None. The parameters start
+    with the surface's own twists, one per bone of ``config.tree``:
+    ``pose(params)`` gives its transforms, one ``_poser`` call on those
+    twists, and ``skinning(params)`` its SkinningMatrix, or None to reject
+    ``params``. The residuals are ``sqrt(lambda / N)`` times the posed minus
+    the target vertices, so that ``r @ r`` is the ``total_loss`` total under
+    ``config.loss_weights`` with the target PMD as its ``fit`` term
+    ("self_recon" or "cycle"). Without a target there are none: ``_minimize``
+    stops at ``x0`` before any Jacobian. ``config.optimizer`` runs the solve.
 
-    Each evaluation makes one ``pose`` call on the twists and all their
-    probes as rows (``_probes``): row 0 gives the residuals and the others
-    the twist columns of the Jacobian (``_tangents``), exact in the vertices
-    as LBS is linear in the transforms: one product of its design matrix with
-    the tangents' ``[R | t]``. Further parameters (the log radii under
-    ``optimize_radii``) get central differences of the residuals.
+    Each evaluation poses its point, one twist row. The Jacobian's own-twist
+    columns are exact and pose nothing: LBS is linear in the transforms, so
+    they are one product of its design matrix with the ``[R | t]`` of
+    ``_twist_derivatives``. Other parameters (log radii, a regressor cycle's
+    first-hop twists) get central differences of the full residuals.
 
     Returns ``(x, stop_reason, losses, transforms, skin)``: the final point,
     why the solve ended, the breakdowns of the accepted evaluations, and
@@ -329,50 +336,47 @@ def _solve_twists(vertices, target, pose, skinning, x0, n_twists, config: Transf
     """
     lw = config.loss_weights
     fit_weight = {"self_recon": lw.lambda_self, "cycle": lw.lambda_cycle}[fit]
+    n_twists = config.tree.n_bones
     # r @ r is the weighted total: lambda * mean of squares
     scale = np.sqrt(fit_weight / vertices.shape[0])
     homogeneous = np.concatenate([vertices, np.ones((len(vertices), 1))], axis=1)
 
-    def residuals(params, transforms):
-        """Breakdown, residuals and skinning weights; None to reject."""
+    def residuals(params):
+        """Breakdown, residuals, transforms and skinning weights; None to reject."""
+        transforms = pose(params)
         skin = skinning(params)
         if skin is None:
             return None
         if target is None:
-            return total_loss(lw), np.empty(0), skin
+            return total_loss(lw), np.empty(0), transforms, skin
         posed = lbs_blend(vertices, skin, transforms)
         r = scale * (posed - target).ravel()
-        return total_loss(lw, **{fit: pmd(posed, target)}), r, skin
+        return total_loss(lw, **{fit: pmd(posed, target)}), r, transforms, skin
 
     latest = accepted = None
     history = []
 
     def objective(params):
         nonlocal latest
-        twists = params[:n_twists]
-        probes, widths = _probes(twists)
-        stacked = pose(np.concatenate([twists[None], probes]))
-        transforms = stacked[0]
-        out = residuals(params, transforms)
-        if out is None:
+        latest = residuals(params)
+        if latest is None:
             return None
-        breakdown, r, skin = out
-        latest = breakdown, transforms, skin
+        breakdown, r, transforms, skin = latest
 
         def jacobian():
             jac = np.empty((r.shape[0], params.shape[0]))
             # LBS maps the [R | t] rows by w_ik [v_i, 1]: one design matrix
             design = np.einsum("nk,nj->nkj", skin.weights, homogeneous).reshape(len(vertices), -1)
-            tangents = _tangents(stacked[1:], widths)
-            maps = np.concatenate([tangents.rotations, tangents.translations[..., None]], -1)
+            rotations, translations = _twist_derivatives(rest_kp, transforms, config.tree)
+            maps = np.concatenate([rotations, translations[..., None]], -1)
             maps = maps.transpose(1, 3, 2, 0).reshape(design.shape[1], 3 * n_twists)
             jac[:, :n_twists] = scale * (design @ maps).reshape(r.shape[0], n_twists)
-            points, spans = _probes(params)  # radii probes: the twists stay as they are
+            steps = np.diag(1e-5 * (1.0 + np.abs(params)))  # numerical_gradient's steps
             for m in range(n_twists, params.shape[0]):
-                lo, hi = (residuals(points[i], transforms) for i in (m, m + params.shape[0]))
+                lo, hi = residuals(params - steps[m]), residuals(params + steps[m])
                 if lo is None or hi is None:
                     raise DivergenceError("objective is not finite at a probe point")
-                jac[:, m] = (hi[1] - lo[1]) / spans[m]
+                jac[:, m] = (hi[1] - lo[1]) / (2.0 * steps[m, m])
             return jac
 
         return breakdown.total, r, jacobian
@@ -386,7 +390,7 @@ def _solve_twists(vertices, target, pose, skinning, x0, n_twists, config: Transf
     x, _, stop_reason = _minimize(
         objective, x0, opt.max_iters, opt.step_size, opt.tolerance, on_accept=accept
     )
-    return x, stop_reason, history, *accepted[1:]
+    return x, stop_reason, history, *accepted[2:]
 
 
 def pose_transfer(
@@ -456,7 +460,8 @@ def pose_transfer(
         x0 = np.concatenate([x0, np.log(start)])
     fit_to = None if target_mesh is None else target_mesh.vertices
     x, stop_reason, history, tf, w = _solve_twists(
-        source.vertices, fit_to, pose, skinning, x0, n_bones, config, "self_recon"
+        source.vertices, fit_to, source_kp, lambda params: pose(params[:n_bones]), skinning,
+        x0, config, "self_recon",
     )
     coarse = lbs_apply(source, w, tf)
     refined = refine(coarse, source, config) if config.refinement.enabled else coarse
@@ -553,15 +558,15 @@ def cycle_reconstruct(
     read only by ``pose_transfer``.
 
     Without a regressor, the intermediate keypoints are hop 1's posed
-    joints. A twist moves no joint, so hop 1 is posed once, at zero twist,
-    and the solve is over hop 2's K twists: a supervised self-reconstruction
-    of the target identity at hop 1's joints, which cannot see hop-1 twist.
-    The error then does not depend on the source mesh, of which only the
-    finiteness is checked: only hop 1's joints are read, never its surface.
-    An ``intermediate_regressor`` (tree joints x source vertices) reads them
-    from hop 1's blended vertices instead, and the solve is over both hops'
-    2K twists, hop 1 posed once per distinct row of its twists; the Jacobian
-    differences the two-hop map, hop 1's blend included.
+    joints, which have the target keypoints' bone directions and root at any
+    twist. IK reads nothing else, so the third mesh is posed onto
+    ``target_kp`` and hop 1 is never posed. The solve is over hop 2's K
+    twists, a supervised self-reconstruction of the target identity that
+    cannot see hop-1 twist, and the error depends on neither the source mesh
+    nor its keypoints, which are only checked. An ``intermediate_regressor``
+    (tree joints x source vertices) reads them from hop 1's blended vertices
+    instead, and the solve is over hop 2's K twists, then hop 1's, whose
+    Jacobian columns are central differences of the two-hop residuals.
     """
     tree = config.tree
     source_kp.validate_for(tree)
@@ -581,26 +586,20 @@ def cycle_reconstruct(
     w2 = pseudo_weights(third.vertices, third_kp, tree, gmm.temperature, gmm.radii)
     n_bones = tree.n_bones
 
-    hop1 = _poser(source_kp, target_kp, tree)
     if regressor is None:
-        inter_kp = KeypointSet(hop1(np.zeros(n_bones)).posed_joints)
-        pose = _poser(third_kp, inter_kp, tree)
+        pose = _poser(third_kp, target_kp, tree)
     else:
+        hop1 = _poser(source_kp, target_kp, tree)
         w1 = pseudo_weights(source.vertices, source_kp, tree, gmm.temperature, gmm.radii)
 
         def pose(params):
-            """Second-hop bone transforms for a stack of twist rows; hop 1 is posed
-            and blended once per distinct row, hop 2 set up anew for its targets."""
-            rows, inverse = np.unique(params[:, :n_bones], axis=0, return_inverse=True)
-            tf1 = hop1(rows)
-            blends = np.stack([lbs_blend(source.vertices, w1, tf1[i]) for i in range(len(rows))])
-            inter_kp = KeypointSet(regress_keypoints(blends, regressor).joints[inverse.reshape(-1)])
-            return _poser(third_kp, inter_kp, tree)(params[:, n_bones:])
+            """Hop 2's transforms at hop-2 then hop-1 twists, set up anew."""
+            blend = lbs_blend(source.vertices, w1, hop1(params[n_bones:]))
+            return _poser(third_kp, regress_keypoints(blend, regressor), tree)(params[:n_bones])
 
-    n_twists = n_bones if regressor is None else 2 * n_bones
     *_, tf2, _ = _solve_twists(
-        third.vertices, target.vertices, pose, lambda params: w2,
-        np.zeros(n_twists), n_twists, config, "cycle",
+        third.vertices, target.vertices, third_kp, pose, lambda params: w2,
+        np.zeros(n_bones * (1 if regressor is None else 2)), config, "cycle",
     )
     out = lbs_apply(third, w2, tf2)
     if config.refinement.enabled:

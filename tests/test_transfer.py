@@ -570,6 +570,26 @@ def test_twist_jacobian_matches_finite_differences_on_branching_trees(name, supe
     assert_gradient_matches(f, phi)
 
 
+def test_a_bone_folded_onto_its_parent_keeps_the_jacobian_finite():
+    # the target turns the distal bone back onto its parent, so on the straight
+    # rest chain u.a = -1 at every twist: _swing folds it, and the rate at which
+    # its parent's twist turns it is undefined. That rate is 0, so the solve
+    # builds only finite Jacobians (else _minimize raises), and it still
+    # recovers the twists
+    p = make_puppet(3, 0.5, 0.0, seed=0, sides=8, rings_per_segment=3)
+    joints = p.posed_keypoints.joints.copy()
+    joints[3] = joints[1]  # bone 3 runs from joint 2 back to joint 1
+    target_kp = KeypointSet(joints)
+    phi = np.array([0.0, 0.3, 0.5])
+    tf = transfer._poser(p.rest_keypoints, target_kp, p.tree)(phi)
+    res = pose_transfer(
+        p.rest_mesh, p.rest_keypoints, target_kp, puppet_config(p),
+        target_mesh=lbs_apply(p.rest_mesh, p.weights, tf), weights=p.weights,
+    )
+    assert res.stop_reason in ("converged", "no_decrease", "max_iters") and len(res.losses) > 1
+    assert np.allclose(res.twists.phi, phi, rtol=0.0, atol=1e-3)
+
+
 def gemm_case(name):
     """A run whose objective's Jacobian has twist columns, and a point to take it at."""
     rng = np.random.default_rng(sum(map(ord, name)))
@@ -579,7 +599,7 @@ def gemm_case(name):
         rest, rest_kp, target_kp, target, cfg = (
             p.rest_mesh, p.rest_keypoints, p.posed_keypoints, p.posed_mesh, solve_nothing(p)
         )
-    elif name == "regressor_cycle":  # 2K twists over K bones
+    elif name == "regressor_cycle":  # K own twists, then K first-hop twists
         a = make_puppet(2, 0.6, 0.4, seed=0)
         b = make_puppet(2, 0.6, 0.4, seed=7, radius=0.3)
         c = make_puppet(2, 0.3, 0.0, seed=7, radius=0.3)
@@ -608,26 +628,48 @@ def gemm_case(name):
      "smpl_24", "smal_33", "smpl_24_radii", "regressor_cycle"],
 )
 def test_gemm_twist_columns_equal_a_blend_per_tangent(name):
-    # the Jacobian's twist columns, one design-matrix product, against one
-    # lbs_blend of each _tangents row, scaled as the residuals are
+    # the closed-form twist derivatives against differences of _poser,
+    # extrapolated to cancel their h^2 error; and the Jacobian's twist
+    # columns, one design-matrix product, against one lbs_blend of each
+    # derivative, scaled as the residuals are
     run, x = gemm_case(name)
     f = captured_objective(run)
-    blends, tangents = [], []
-    real_blend, real_tangents = transfer.lbs_blend, transfer._tangents
+    blends, derivatives = [], []
+    real_blend, real_derivatives = transfer.lbs_blend, transfer._twist_derivatives
+
+    def spy(*args):
+        derivatives.append((args, real_derivatives(*args)))
+        return derivatives[-1][1]
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transfer, "lbs_blend", lambda *a: blends.append(a) or real_blend(*a))
-        mp.setattr(transfer, "_tangents", lambda *a: tangents.append(real_tangents(*a)) or tangents[-1])
+        mp.setattr(transfer, "_twist_derivatives", spy)
         _, r, jacobian = f(x)
         vertices, skin, _ = blends[-1]  # the residuals' blend: the weights at x
         jac = jacobian()
-    rows = tangents[-1]
-    n_twists = rows.rotations.shape[0]
-    assert len(tangents) == 1 and r.shape == (3 * len(vertices),)
+    assert len(derivatives) == 1 and r.shape == (3 * len(vertices),)
+    (rest_kp, tf, tree), (rotations, translations) = derivatives[0]
+    k = tree.n_bones
+    # IK reads only the target's directions and root, so the posed joints
+    # give the posing whose derivatives these are
+    pose = transfer._poser(rest_kp, KeypointSet(tf.posed_joints), tree)
+    assert np.allclose(pose(x[:k]).rotations, tf.rotations, rtol=0.0, atol=1e-12)
+
+    def difference(m, h):
+        hi, lo = pose(x[:k] + h * np.eye(k)[m]), pose(x[:k] - h * np.eye(k)[m])
+        return [(getattr(hi, a) - getattr(lo, a)) / (2.0 * h) for a in ("rotations", "translations")]
+
+    for m in range(k):
+        coarse, fine = difference(m, 1e-4), difference(m, 5e-5)
+        want = [(4.0 * b - a) / 3.0 for a, b in zip(coarse, fine)]
+        largest = max(np.abs(w).max() for w in want)
+        for got, expected in zip((rotations[m], translations[m]), want):
+            assert np.all(np.abs(got - expected) <= 1e-8 * largest)
     scale = np.sqrt(1.0 / len(vertices))
-    want = np.stack(
-        [scale * real_blend(vertices, skin, rows[m]).ravel() for m in range(n_twists)], axis=1
-    )
-    got = jac[:, :n_twists]
+    # lbs_blend reads only a transform set's rotations and translations
+    rows = [transfer.BoneTransformSet(d, d, t, tf.posed_joints) for d, t in zip(*derivatives[0][1])]
+    want = np.stack([scale * real_blend(vertices, skin, row).ravel() for row in rows], axis=1)
+    got = jac[:, :k]
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=0))
 
 
@@ -655,17 +697,21 @@ def solve_runs(a, b, c, cfg, regressor=None):
 
 
 @pytest.mark.parametrize("segments", [1, 3, 6])
-@pytest.mark.parametrize("solve", ["transfer", "cycle"])
+@pytest.mark.parametrize("solve", ["transfer", "cycle", "transfer_radii", "regressor_cycle"])
 def test_an_evaluation_makes_one_stacked_ik_call_per_hop(monkeypatch, segments, solve):
-    # each evaluation poses its point and the 2K probes of its K twists as
-    # rows of one twist pass; without a regressor the cycle poses its first
-    # hop once, at zero twist, before the solve, and solves only the second
-    # hop's K twists. Jacobians and the result reuse those poses.
+    # each evaluation poses its point as one twist row per hop: two hops for a
+    # cycle through a regressor, else one, as without a regressor the cycle
+    # poses the third mesh onto the target keypoints and never its first hop.
+    # A Jacobian poses nothing for the solved surface's own twists, and poses
+    # each probe point of its other columns (log radii, first-hop twists) as
+    # an evaluation does
     a, b, c = small_trio(segments)
     cfg = puppet_config(a, max_iters=3)
-    k = segments
-    rows = [2 * k + 1]
-    before_solve = {"transfer": [], "cycle": [1]}[solve]
+    cfg.gmm.optimize_radii = solve == "transfer_radii"
+    regressor = ring_regressor(a, sides=8, rings_per_segment=3) if solve == "regressor_cycle" else None
+    hops = [1, 1] if regressor else [1]
+    differenced = regressor is not None or cfg.gmm.optimize_radii
+    per_jacobian = [1] * (2 * segments * len(hops)) if differenced else []
     calls, evaluations, jacobians = [], [], []
     real_ik, real_minimize = transfer._ik_twists, transfer._minimize
 
@@ -696,33 +742,26 @@ def test_an_evaluation_makes_one_stacked_ik_call_per_hop(monkeypatch, segments, 
     monkeypatch.setattr(
         transfer, "_minimize", lambda f, *args, **kw: real_minimize(counted(f), *args, **kw)
     )
-    solve_runs(a, b, c, cfg)[solve]()
+    solve_runs(a, b, c, cfg, regressor)["cycle" if solve.endswith("cycle") else "transfer"]()
     assert len(jacobians) >= 2
-    assert evaluations and all(made == rows for made in evaluations)
-    assert all(made == [] for made in jacobians)
-    # every other call was made inside an evaluation: none followed the last one
-    assert before_solve + sum(evaluations, []) == calls
+    assert evaluations and all(made == hops for made in evaluations)
+    assert all(made == per_jacobian for made in jacobians)
+    # every call was made inside an evaluation or a Jacobian
+    assert len(calls) == sum(map(len, evaluations + jacobians))
 
 
 def pose_rows_alone(poser, posed):
-    """``poser`` whose posers pose each row of a stack by a poser of its own
-    target, called on that row alone; ``posed`` collects the row counts."""
+    """``poser`` whose posers pose every call by a fresh poser of their
+    target, built for that call alone; ``posed`` collects each call's rows."""
 
-    def rowwise_poser(rest_kp, target_kp, tree):
+    def fresh_poser(rest_kp, target_kp, tree):
         def pose(twists):
-            phi = np.atleast_2d(twists)
-            joints = np.broadcast_to(target_kp.joints, phi.shape[:1] + target_kp.joints.shape[-2:])
-            rows = [poser(rest_kp, KeypointSet(joints[i]), tree)(phi[i]) for i in range(len(phi))]
-            posed.append(len(rows))
-            stack = transfer.BoneTransformSet(*(
-                np.stack([getattr(tf, name) for tf in rows])
-                for name in ("relative", "rotations", "translations", "posed_joints")
-            ))
-            return stack if np.ndim(twists) > 1 else stack[0]
+            posed.append(len(np.atleast_2d(twists)))
+            return poser(rest_kp, target_kp, tree)(twists)
 
         return pose
 
-    return rowwise_poser
+    return fresh_poser
 
 
 @pytest.mark.parametrize(
@@ -734,6 +773,11 @@ def pose_rows_alone(poser, posed):
     ],
 )
 def test_stacked_objective_equals_posing_every_row_alone(solve, segments, radii, regressor):
+    # every posing of a solve, in an evaluation or in a Jacobian's central
+    # differences, is one twist row; and neither a poser's setup, built once
+    # per solve, nor anything kept from one evaluation to the next changes a
+    # bit: points evaluated in turn by one objective give what a fresh
+    # objective with a fresh poser per call gives at each
     if regressor:  # ring_regressor reads the default puppet rings
         a = make_puppet(2, 0.6, 0.4, seed=0)
         b = make_puppet(2, 0.6, 0.4, seed=7, radius=0.3)
@@ -749,17 +793,15 @@ def test_stacked_objective_equals_posing_every_row_alone(solve, segments, radii,
     if radii:
         points = [np.concatenate([x, np.log(rng.uniform(0.3, 0.8, segments))]) for x in points]
 
-    def evaluations():
-        f = captured_objective(run)
-        return [(value, r, jacobian()) for value, r, jacobian in map(f, points)]
-
-    stacked, posed = evaluations(), []
+    solved = [(value, r, jacobian()) for value, r, jacobian in map(captured_objective(run), points)]
+    posed = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transfer, "_poser", pose_rows_alone(transfer._poser, posed))
-        reference = evaluations()
-    # the patch reached every evaluation: each posed its point and 2K probes
-    assert posed.count(2 * n_twists + 1) >= len(points)
-    for (value, r, jac), (want_value, want_r, want_jac) in zip(stacked, reference):
+        fresh = (captured_objective(run)(x) for x in points)  # one objective per point
+        reference = [(value, r, jacobian()) for value, r, jacobian in fresh]
+    # the patch reached every evaluation, each posing one row per hop
+    assert len(posed) >= len(points) * (2 if regressor else 1) and set(posed) == {1}
+    for (value, r, jac), (want_value, want_r, want_jac) in zip(solved, reference):
         assert value == want_value
         assert np.array_equal(r, want_r)
         assert np.array_equal(jac, want_jac)
@@ -779,45 +821,6 @@ def test_cycle_with_a_regressor_that_merges_joints_raises_degenerate_bone():
             c.posed_mesh, c.posed_keypoints, puppet_config(a),
             intermediate_regressor=JointRegressor(matrix),
         )
-
-
-def test_cycle_jacobian_reuses_the_first_hop(monkeypatch):
-    # through a regressor the solve is over both hops' 2K twists; probes of
-    # the second hop's twists leave the first hop's twists as they are, so
-    # they share one posing of the first hop; the Jacobian makes no call at
-    # all, well inside the per-probe bound of 6K + 1
-    a = make_puppet(2, 0.6, 0.4, seed=0)
-    b = make_puppet(2, 0.6, 0.4, seed=7, radius=0.3)
-    c = make_puppet(2, 0.3, 0.0, seed=7, radius=0.3)
-
-    def objective():
-        return captured_objective(
-            lambda: cycle_reconstruct(
-                a.rest_mesh, a.rest_keypoints, b.posed_mesh, b.posed_keypoints,
-                c.posed_mesh, c.posed_keypoints, solve_nothing(a),
-                intermediate_regressor=ring_regressor(a),
-            )
-        )
-
-    f = objective()
-    x = np.random.default_rng(5).uniform(-np.pi, np.pi, 4)
-    # what one evaluation reuses from the last never changes a value
-    for j in range(4):
-        y = x.copy()
-        y[j] += 0.1
-        f(x)
-        assert f(y)[0] == objective()(y)[0]
-    _, _, jacobian = f(x)
-    real, calls = transfer._ik_twists, []
-
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(transfer, "_ik_twists", counted)
-    jacobian()
-    k = a.tree.n_bones
-    assert len(calls) <= 6 * k + 1
 
 
 # -- refinement --
