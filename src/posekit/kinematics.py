@@ -447,12 +447,12 @@ def _unit(v, what: str) -> np.ndarray:
     return v / norm
 
 
-def _rodrigues(axis: np.ndarray, sin, cos) -> np.ndarray:
-    """Rotations about unit axes by the angles of ``sin`` and ``cos``:
-    I + sin a + (1 - cos) a @ a with a = skew(axis), for stacks too."""
-    a = skew(axis)
+def _rodrigues(skews, sin, cos) -> np.ndarray:
+    """Rotations about unit axes, given as (a, a @ a) with a = skew(axis), by
+    the angles of ``sin`` and ``cos``: I + sin a + (1 - cos) a @ a, stacks too."""
+    a, a2 = skews
     sin, cos = (np.asarray(c)[..., None, None] for c in (sin, cos))
-    return _EYE + sin * a + (1.0 - cos) * (a @ a)
+    return _EYE + sin * a + (1.0 - cos) * a2
 
 
 def swing_rotation(s, t) -> np.ndarray:
@@ -469,35 +469,36 @@ def swing_rotation(s, t) -> np.ndarray:
     (3, 3) rotation matrix R with R @ (s/|s|) == t/|t|; one per row of
     stacked inputs, (..., 3, 3).
 
-    Rodrigues form about the normalized cross product n = (s x t)/|s x t|.
-    When |s x t|/(|s||t|) < 1e-8 that axis cannot carry a half turn: s is
-    first turned by 0 (parallel side) or pi (antiparallel side) about a
-    deterministic axis perpendicular to s, then swung by the remaining
-    angle, below 1e-8 rad, onto t; a remainder below 1e-12 rad is
-    rounding and is dropped.
+    Two reflections: across the plane normal to h = s/|s| + t/|t|, which
+    takes s/|s| to -t/|t|, then across the plane normal to t. Directions
+    closer than 1e-12 (parallel) give exactly the identity. When
+    |s/|s| + t/|t|| < 1e-8 (antiparallel) h gives no plane: s is first turned
+    by pi about a deterministic axis perpendicular to s, then swung by the
+    remaining angle onto t. Each row of a stack is computed as its own call.
     """
     return _swing(_unit(s, "swing_rotation"), _unit(t, "swing_rotation"))
 
 
 def _swing(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``swing_rotation`` of unit directions u and w."""
-    c = _cross(u, w)
-    sin_a = np.sqrt(_dot(c, c))
-    cos_a = _dot(u, w)
-    fold = sin_a < EPS_PARALLEL
-    if not fold.any():
-        return _rodrigues(c / sin_a[..., None], sin_a, cos_a)
-    # a fold first turns by 0 (parallel) or pi (antiparallel) about u crossed
-    # with the basis vector it is least aligned with, first index wins ties;
-    # the rest, under 1e-8 rad, swings that image of u onto w: the short cross
-    # product's axis is rough, but so small an angle makes its error harmless
-    perpendicular = _unit(_cross(u, _EYE[np.argmin(np.abs(u), axis=-1)]), "swing_rotation")
-    flip = fold & (cos_a < 0.0)
-    keep = sin_a >= _EPS_ROUNDING
-    axis = np.where(flip[..., None], -c, c) / np.where(keep, sin_a, 1.0)[..., None]
-    rest_cos = np.where(keep, np.where(flip, -cos_a, cos_a), 1.0)
-    rest = _rodrigues(axis, np.where(keep, sin_a, 0.0), rest_cos)
-    return rest @ _rodrigues(perpendicular, 0.0, np.where(flip, -1.0, 1.0))
+    h = u + w
+    hh = _dot(h, h)
+    fold = hh < EPS_PARALLEL**2
+    if fold.any():
+        # a half turn about u crossed with the basis vector it is least aligned
+        # with (first index wins ties) takes u to -u; the rest is a swing
+        p = _unit(_cross(u, _EYE[np.argmin(np.abs(u), axis=-1)]), "swing_rotation")
+        half = 2.0 * p[..., :, None] * p[..., None, :] - _EYE
+        rest = _swing(np.where(fold[..., None], -u, u), w)
+        return np.where(fold[..., None, None], rest @ half, rest)
+    gap = u - w
+    # rounding leaves |u| != |w|, which tilts h's plane by ~1e-16/|h| rad near a
+    # fold; n, h less (h.u - h.h/2) u = (|u|^2 - |w|^2)/2 u, bisects them, and
+    # |n|^2 is h.h to a relative (|u|^2 - |w|^2)/2, rounding
+    n = h - (_dot(h, u) - 0.5 * hh)[..., None] * u
+    reflect_n = _EYE - (2.0 / hh)[..., None, None] * n[..., :, None] * n[..., None, :]
+    swing = (_EYE - 2.0 * w[..., :, None] * w[..., None, :]) @ reflect_n
+    return np.where((_dot(gap, gap) < _EPS_ROUNDING**2)[..., None, None], _EYE, swing)
 
 
 def twist_rotation(s, phi) -> np.ndarray:
@@ -515,7 +516,8 @@ def twist_rotation(s, phi) -> np.ndarray:
     (3, 3) rotation matrix fixing s: R @ s == s; one per row of stacked
     inputs, (..., 3, 3).
     """
-    return _rodrigues(_unit(s, "twist_rotation"), np.sin(phi), np.cos(phi))
+    a = skew(_unit(s, "twist_rotation"))
+    return _rodrigues((a, a @ a), np.sin(phi), np.cos(phi))
 
 
 def compose_relative(swing: np.ndarray, twist: np.ndarray) -> np.ndarray:
@@ -581,32 +583,37 @@ def scalable_ik(
 
 def _ik_setup(source: KeypointSet, target: KeypointSet, tree: KinematicTree):
     """``scalable_ik``'s twist-free half: both keypoint sets validated, then the
-    root orientation, source bone vectors and unit target aims, built once."""
+    root orientation, the unit source bone directions d with skew(d) and its
+    square, and the unit target aims, built once."""
     source.validate_for(tree)
     target.validate_for(tree)
     root = root_orientation(source, target, tree)
-    return root, source.bone_vectors(tree), _unit(target.bone_vectors(tree), "scalable_ik")
+    dirs = _unit(source.bone_vectors(tree), "scalable_ik")
+    a = skew(dirs)
+    return root, dirs, (a, a @ a), _unit(target.bone_vectors(tree), "scalable_ik")
 
 
 def _ik_twists(setup, twists: TwistAngles, tree: KinematicTree) -> np.ndarray:
-    """``scalable_ik``'s twist half: the parents-first loop over stacked twist rows."""
-    root, bones, aims = setup
+    """``scalable_ik``'s twist half: the parents-first loop over stacked twist rows.
+
+    A twist about bone j's current axis W_p d is W_p R(d, phi) W_p^T, so every
+    R(d, phi) is built before the loop, which sets W_j = S_j W_p R(d, phi)
+    with S_j the swing of W_p d onto the aim.
+    """
+    root, dirs, skews, aims = setup
     n = tree.n_joints
     phi = twists.phi
     if phi.shape[-1] != tree.n_bones:
         raise ValueError("twist count does not match bone count")
+    twist = _rodrigues(skews, np.sin(phi), np.cos(phi))
     world = np.empty(np.broadcast_shapes(phi.shape[:-1], aims.shape[:-2]) + (n, 3, 3))
     world[..., 0, :, :] = root
     for j in range(1, n):
-        p = int(tree.parents[j])
-        cur = _unit(world[..., p, :, :] @ bones[j - 1], "scalable_ik")
-        twist = _rodrigues(cur, np.sin(phi[..., j - 1]), np.cos(phi[..., j - 1]))
-        update = compose_relative(_swing(cur, aims[..., j - 1, :]), twist)
-        world[..., j, :, :] = update @ world[..., p, :, :]
-    # the root's own orientation stays folded into the bones off the root
-    base = world[..., tree.parents[1:], :, :]
-    base[..., tree.parents[1:] == 0, :, :] = _EYE
-    return base.swapaxes(-1, -2) @ world[..., 1:, :, :]
+        parent = world[..., tree.parents[j], :, :]
+        swing = _swing(parent @ dirs[j - 1], aims[..., j - 1, :])
+        world[..., j, :, :] = swing @ (parent @ twist[..., j - 1, :, :])
+    world[..., 0, :, :] = _EYE  # the root's orientation stays folded into the bones off it
+    return world[..., tree.parents[1:], :, :].swapaxes(-1, -2) @ world[..., 1:, :, :]
 
 
 def forward_kinematics(
@@ -630,16 +637,15 @@ def forward_kinematics(
     n = tree.n_joints
     if rotations.shape[-3:] != (n - 1, 3, 3):
         raise ValueError("need one 3x3 rotation per bone")
-    batch = rotations.shape[:-3]
-    glob = np.empty(batch + (n, 3, 3))
-    glob[..., 0, :, :] = _EYE
-    posed = np.empty(batch + (n, 3))
+    parents = tree.parents[1:]  # bone k runs from joint parents[k] to k + 1; bone p - 1 ends at p
+    glob = np.empty(rotations.shape)
+    for k, p in enumerate(parents):
+        rot = rotations[..., k, :, :]
+        glob[..., k, :, :] = rot if p == 0 else glob[..., p - 1, :, :] @ rot
+    offsets = (glob @ rest.bone_vectors(tree)[..., None])[..., 0]
+    posed = np.empty(rotations.shape[:-3] + (n, 3))
     posed[..., 0, :] = rest.joints[0] if root_position is None else root_position
-    trans = np.empty(batch + (n - 1, 3))
-    bones = rest.bone_vectors(tree)
-    for j in range(1, n):
-        p = int(tree.parents[j])
-        glob[..., j, :, :] = glob[..., p, :, :] @ rotations[..., j - 1, :, :]
-        posed[..., j, :] = posed[..., p, :] + glob[..., j, :, :] @ bones[j - 1]
-        trans[..., j - 1, :] = posed[..., p, :] - glob[..., j, :, :] @ rest.joints[p]
-    return BoneTransformSet(rotations.copy(), glob[..., 1:, :, :].copy(), trans, posed)
+    for k, p in enumerate(parents):
+        posed[..., k + 1, :] = posed[..., p, :] + offsets[..., k, :]
+    trans = posed[..., parents, :] - (glob @ rest.joints[parents, :, None])[..., 0]
+    return BoneTransformSet(rotations.copy(), glob, trans, posed)

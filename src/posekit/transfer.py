@@ -310,14 +310,16 @@ def _check_finite(mesh: Mesh) -> None:
         raise DivergenceError("rest edge lengths are not finite")
 
 
-def _solve_twists(vertices, target, rest_kp, pose, skinning, x0, config: TransferConfig, fit: str):
+def _solve_twists(
+    vertices, target, rest_kp, pose, skinning, x0, config: TransferConfig, fit: str, n_posed: int
+):
     """Levenberg-Marquardt (``_minimize``) from ``x0`` over one skinned surface.
 
     ``vertices`` and ``rest_kp`` are the surface's rest state, and ``target``
     the vertices its posed state is fit to, or None. The parameters start
     with the surface's own twists, one per bone of ``config.tree``:
-    ``pose(params)`` gives its transforms, one ``_poser`` call on those
-    twists, and ``skinning(params)`` its SkinningMatrix, or None to reject
+    ``pose(params[:n_posed])`` gives its transforms, one ``_poser`` call on
+    those twists, and ``skinning(params)`` its SkinningMatrix, or None to reject
     ``params``. The residuals are ``sqrt(lambda / N)`` times the posed minus
     the target vertices, so that ``r @ r`` is the ``total_loss`` total under
     ``config.loss_weights`` with the target PMD as its ``fit`` term
@@ -326,9 +328,11 @@ def _solve_twists(vertices, target, rest_kp, pose, skinning, x0, config: Transfe
 
     Each evaluation poses its point, one twist row. The Jacobian's own-twist
     columns are exact and pose nothing: LBS is linear in the transforms, so
-    they are one product of its design matrix with the ``[R | t]`` of
-    ``_twist_derivatives``. Other parameters (log radii, a regressor cycle's
-    first-hop twists) get central differences of the full residuals.
+    they are one product of its design matrix, built again only when the
+    weights change, with the ``[R | t]`` of ``_twist_derivatives``. Other
+    parameters (log radii, a regressor cycle's first-hop twists) get central
+    differences of the full residuals; a probe of a parameter past ``n_posed``
+    keeps the evaluation's transforms.
 
     Returns ``(x, stop_reason, losses, transforms, skin)``: the final point,
     why the solve ended, the breakdowns of the accepted evaluations, and
@@ -341,9 +345,9 @@ def _solve_twists(vertices, target, rest_kp, pose, skinning, x0, config: Transfe
     scale = np.sqrt(fit_weight / vertices.shape[0])
     homogeneous = np.concatenate([vertices, np.ones((len(vertices), 1))], axis=1)
 
-    def residuals(params):
+    def residuals(params, transforms=None):
         """Breakdown, residuals, transforms and skinning weights; None to reject."""
-        transforms = pose(params)
+        transforms = pose(params[:n_posed]) if transforms is None else transforms
         skin = skinning(params)
         if skin is None:
             return None
@@ -353,7 +357,7 @@ def _solve_twists(vertices, target, rest_kp, pose, skinning, x0, config: Transfe
         r = scale * (posed - target).ravel()
         return total_loss(lw, **{fit: pmd(posed, target)}), r, transforms, skin
 
-    latest = accepted = None
+    latest = accepted = design = designed = None  # designed: the weights of design
     history = []
 
     def objective(params):
@@ -364,16 +368,19 @@ def _solve_twists(vertices, target, rest_kp, pose, skinning, x0, config: Transfe
         breakdown, r, transforms, skin = latest
 
         def jacobian():
+            nonlocal design, designed
             jac = np.empty((r.shape[0], params.shape[0]))
-            # LBS maps the [R | t] rows by w_ik [v_i, 1]: one design matrix
-            design = np.einsum("nk,nj->nkj", skin.weights, homogeneous).reshape(len(vertices), -1)
+            if skin is not designed:  # LBS maps the [R | t] rows by w_ik [v_i, 1]
+                design = np.einsum("nk,nj->nkj", skin.weights, homogeneous)
+                design, designed = design.reshape(len(vertices), -1), skin
             rotations, translations = _twist_derivatives(rest_kp, transforms, config.tree)
             maps = np.concatenate([rotations, translations[..., None]], -1)
             maps = maps.transpose(1, 3, 2, 0).reshape(design.shape[1], 3 * n_twists)
             jac[:, :n_twists] = scale * (design @ maps).reshape(r.shape[0], n_twists)
             steps = np.diag(1e-5 * (1.0 + np.abs(params)))  # numerical_gradient's steps
             for m in range(n_twists, params.shape[0]):
-                lo, hi = residuals(params - steps[m]), residuals(params + steps[m])
+                kept = transforms if m >= n_posed else None
+                lo, hi = residuals(params - steps[m], kept), residuals(params + steps[m], kept)
                 if lo is None or hi is None:
                     raise DivergenceError("objective is not finite at a probe point")
                 jac[:, m] = (hi[1] - lo[1]) / (2.0 * steps[m, m])
@@ -460,8 +467,7 @@ def pose_transfer(
         x0 = np.concatenate([x0, np.log(start)])
     fit_to = None if target_mesh is None else target_mesh.vertices
     x, stop_reason, history, tf, w = _solve_twists(
-        source.vertices, fit_to, source_kp, lambda params: pose(params[:n_bones]), skinning,
-        x0, config, "self_recon",
+        source.vertices, fit_to, source_kp, pose, skinning, x0, config, "self_recon", n_bones
     )
     coarse = lbs_apply(source, w, tf)
     refined = refine(coarse, source, config) if config.refinement.enabled else coarse
@@ -597,9 +603,10 @@ def cycle_reconstruct(
             blend = lbs_blend(source.vertices, w1, hop1(params[n_bones:]))
             return _poser(third_kp, regress_keypoints(blend, regressor), tree)(params[:n_bones])
 
+    x0 = np.zeros(n_bones * (1 if regressor is None else 2))
     *_, tf2, _ = _solve_twists(
         third.vertices, target.vertices, third_kp, pose, lambda params: w2,
-        np.zeros(n_bones * (1 if regressor is None else 2)), config, "cycle",
+        x0, config, "cycle", len(x0),
     )
     out = lbs_apply(third, w2, tf2)
     if config.refinement.enabled:

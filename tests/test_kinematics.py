@@ -340,6 +340,34 @@ def test_swing_maps_directions_inside_the_parallel_threshold():
             assert np.max(np.abs(R @ sh - t)) <= 1e-12
 
 
+def test_one_swing_stack_equals_its_single_calls():
+    # generic rows, parallel rows exactly and 1e-10 rad off, antiparallel rows
+    # exactly and 1e-7 rad off, mixed in one stack: each row is its own single
+    # call, bit for bit, whatever branch its neighbours take
+    rng = np.random.default_rng(16)
+    kinds = ["generic", "parallel", "near parallel", "antiparallel", "near antiparallel"] * 4
+    rows = []
+    for kind in rng.permutation(kinds):
+        s = rng.normal(size=3)
+        sh = s / np.linalg.norm(s)
+        perp = np.cross(sh, rng.normal(size=3))
+        perp /= np.linalg.norm(perp)
+        t = {
+            "generic": rng.normal(size=3),
+            "parallel": sh,
+            "near parallel": np.cos(1e-10) * sh + np.sin(1e-10) * perp,
+            "antiparallel": -sh,
+            "near antiparallel": -np.cos(1e-7) * sh + np.sin(1e-7) * perp,
+        }[kind]
+        rows.append((s, t * rng.uniform(0.5, 2.0)))
+    s, t = (np.array(v) for v in zip(*rows))
+    stacked = swing_rotation(s, t)
+    for R, a, b in zip(stacked, s, t):
+        assert np.array_equal(R, swing_rotation(a, b))
+        assert_rotation(R)
+        assert np.max(np.abs(R @ (a / np.linalg.norm(a)) - b / np.linalg.norm(b))) <= 1e-9
+
+
 def test_swing_rejects_zero_vector():
     with pytest.raises(ValueError):
         swing_rotation(np.zeros(3), np.array([1.0, 0, 0]))
@@ -529,6 +557,30 @@ def test_twist_neutrality_on_joints():
     plain = forward_kinematics(src, scalable_ik(src, tgt, no_twist(tree), tree), tree)
     spun = forward_kinematics(src, scalable_ik(src, tgt, twists, tree), tree)
     assert np.max(np.abs(plain.posed_joints - spun.posed_joints)) <= 1e-9
+
+
+def test_twist_neutrality_on_chains_folded_near_their_parents():
+    # straight rest chains of 33 joints whose targets zigzag: every aim lies
+    # 1e-7 to 1e-5 rad off antiparallel from its bone's current direction,
+    # its parent's aim, at any twist, so every swing but the root bone's is
+    # a near fold, and the posed joints must not move with the twists
+    n = 33
+    tree = chain_tree(n)
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        rest = KeypointSet(np.outer(np.arange(n), unit(rng.normal(size=3))))
+        aim, joints = unit(rng.normal(size=3)), [rng.normal(size=3)]
+        for _ in range(n - 1):
+            joints.append(joints[-1] + aim * rng.uniform(0.5, 2.0))
+            off = 10.0 ** rng.uniform(-7.0, -5.0)
+            perp = unit(np.cross(aim, rng.normal(size=3)))
+            aim = -np.cos(off) * aim + np.sin(off) * perp
+        target = KeypointSet(np.array(joints))
+        plain = forward_kinematics(rest, scalable_ik(rest, target, no_twist(tree), tree), tree)
+        for _ in range(5):
+            twists = TwistAngles.wrap(rng.uniform(-np.pi, np.pi, tree.n_bones))
+            spun = forward_kinematics(rest, scalable_ik(rest, target, twists, tree), tree)
+            assert np.max(np.abs(spun.posed_joints - plain.posed_joints)) <= 1e-9
 
 
 def test_ik_twist_count_mismatch():

@@ -702,16 +702,15 @@ def test_an_evaluation_makes_one_stacked_ik_call_per_hop(monkeypatch, segments, 
     # each evaluation poses its point as one twist row per hop: two hops for a
     # cycle through a regressor, else one, as without a regressor the cycle
     # poses the third mesh onto the target keypoints and never its first hop.
-    # A Jacobian poses nothing for the solved surface's own twists, and poses
-    # each probe point of its other columns (log radii, first-hop twists) as
-    # an evaluation does
+    # A Jacobian poses nothing for the solved surface's own twists or for the
+    # log radii, whose probes keep the evaluation's transforms, and poses each
+    # probe point of a regressor cycle's first-hop twists as an evaluation does
     a, b, c = small_trio(segments)
     cfg = puppet_config(a, max_iters=3)
     cfg.gmm.optimize_radii = solve == "transfer_radii"
     regressor = ring_regressor(a, sides=8, rings_per_segment=3) if solve == "regressor_cycle" else None
     hops = [1, 1] if regressor else [1]
-    differenced = regressor is not None or cfg.gmm.optimize_radii
-    per_jacobian = [1] * (2 * segments * len(hops)) if differenced else []
+    per_jacobian = [1] * (2 * segments * len(hops)) if regressor else []
     calls, evaluations, jacobians = [], [], []
     real_ik, real_minimize = transfer._ik_twists, transfer._minimize
 
