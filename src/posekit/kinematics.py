@@ -343,10 +343,15 @@ class TwistAngles:
 
     @classmethod
     def wrap(cls, values) -> "TwistAngles":
-        v = np.asarray(values, dtype=np.float64)
-        w = np.arctan2(np.sin(v), np.cos(v))
-        w[w <= -np.pi] = np.pi
-        return cls(w)
+        return cls(_wrap(values))
+
+
+def _wrap(values) -> np.ndarray:
+    """``values`` wrapped to (-pi, pi], unchecked: finite where they are."""
+    v = np.asarray(values, dtype=np.float64)
+    w = np.arctan2(np.sin(v), np.cos(v))
+    w[w <= -np.pi] = np.pi
+    return w
 
 
 @dataclass
@@ -578,7 +583,7 @@ def scalable_ik(
     (B, K, 3, 3) stack whose row b is the call on twist row b and target b;
     a single twist row or target serves every row.
     """
-    return _ik_twists(_ik_setup(source, target, tree), twists, tree)
+    return _ik_twists(_ik_setup(source, target, tree), twists.phi, tree)
 
 
 def _ik_setup(source: KeypointSet, target: KeypointSet, tree: KinematicTree):
@@ -593,8 +598,8 @@ def _ik_setup(source: KeypointSet, target: KeypointSet, tree: KinematicTree):
     return root, dirs, (a, a @ a), _unit(target.bone_vectors(tree), "scalable_ik")
 
 
-def _ik_twists(setup, twists: TwistAngles, tree: KinematicTree) -> np.ndarray:
-    """``scalable_ik``'s twist half: the parents-first loop over stacked twist rows.
+def _ik_twists(setup, phi: np.ndarray, tree: KinematicTree) -> np.ndarray:
+    """``scalable_ik``'s twist half: the parents-first loop over wrapped twist rows ``phi``.
 
     A twist about bone j's current axis W_p d is W_p R(d, phi) W_p^T, so every
     R(d, phi) is built before the loop, which sets W_j = S_j W_p R(d, phi)
@@ -602,7 +607,6 @@ def _ik_twists(setup, twists: TwistAngles, tree: KinematicTree) -> np.ndarray:
     """
     root, dirs, skews, aims = setup
     n = tree.n_joints
-    phi = twists.phi
     if phi.shape[-1] != tree.n_bones:
         raise ValueError("twist count does not match bone count")
     twist = _rodrigues(skews, np.sin(phi), np.cos(phi))
@@ -633,6 +637,11 @@ def forward_kinematics(
     transform sets.
     """
     rest.validate_for(tree)
+    return _fk(rest, rotations, tree, root_position)
+
+
+def _fk(rest: KeypointSet, rotations, tree: KinematicTree, root_position) -> BoneTransformSet:
+    """``forward_kinematics`` of a ``rest`` already validated for ``tree``."""
     rotations = np.asarray(rotations, dtype=np.float64)
     n = tree.n_joints
     if rotations.shape[-3:] != (n - 1, 3, 3):

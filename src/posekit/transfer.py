@@ -17,12 +17,13 @@ from .kinematics import (
     TwistAngles,
     BoneTransformSet,
     _TREES,
+    _fk,
     _from_file,
     _ik_setup,
     _ik_twists,
     _settings,
     _unit,
-    forward_kinematics,
+    _wrap,
     load_keypoints,
     load_tree,
     regress_keypoints,
@@ -45,6 +46,8 @@ from .skinning import (
     pseudo_weights,
 )
 
+_DAMPING_START = 1e-3  # _minimize's first mu over the largest curvature: MNT's tau
+
 
 class DivergenceError(RuntimeError):
     """The optimizer met a non-finite objective where it cannot recover."""
@@ -53,7 +56,6 @@ class DivergenceError(RuntimeError):
 @dataclass
 class OptimizerSettings:
     max_iters: int = 300
-    step_size: float = 1.0
     tolerance: float = 1e-12
 
 
@@ -136,18 +138,18 @@ class TransferResult:
     stop_reason: str  # see _minimize
 
 
-def _minimize(f, x0, max_iters, step_size, tolerance, on_accept=None):
+def _minimize(f, x0, max_iters, tolerance, on_accept=None):
     """Levenberg-Marquardt on a sum of squares.
 
     ``f(x)`` returns None to reject ``x``, else ``(value, r, jacobian)``: the
     objective value, equal to ``r @ r`` up to rounding, the residual vector,
     and a callable that returns the Jacobian dr/dx at ``x``. Each step solves
-    ``(2 J'J + mu I) d = -2 J'r``. The damping mu starts at ``1 / step_size``,
-    so where the Gauss-Newton curvature is negligible against mu the first
-    step is the gradient step of length ``step_size``. A trial is accepted
-    only when its value is finite and strictly below the current one, so the
-    accepted values decrease; mu then follows the gain-ratio rule of Madsen,
-    Nielsen & Tingleff (2004), and it grows on every rejected trial.
+    ``(2 J'J + mu I) d = -2 J'r``. The damping mu starts at ``1e-3 * top``,
+    ``top`` the largest diagonal entry of the first 2 J'J, so scaling ``r``
+    changes no step (Madsen, Nielsen & Tingleff 2004, 3.2). A trial is
+    accepted only when its value is finite and strictly below the current
+    one, so the accepted values decrease; mu then follows their gain-ratio
+    rule, and it grows on every rejected trial.
 
     Returns ``(x, values, stop_reason)``: the final point, the accepted
     values (the starting point's included), and why the solve ended:
@@ -155,10 +157,10 @@ def _minimize(f, x0, max_iters, step_size, tolerance, on_accept=None):
     - ``zero_gradient``: the gradient 2 J'r is exactly zero. An all-zero
       (or empty) residual vector stops here before the Jacobian is asked
       for, since 2 J'r is then zero whatever J is;
-    - ``converged``: a step damped by at least ``1 / step_size`` is
-      predicted to lower the value by at most ``tolerance * max(1, value)``.
-      Damping the test keeps a near-flat valley, along which undamped steps
-      each gain a little, from running the solve to ``max_iters``;
+    - ``converged``: a step damped by at least ``top`` is predicted to
+      lower the value by at most ``tolerance * max(1, value)``. Damping
+      the test keeps a near-flat valley, along which undamped steps each
+      gain a little, from running the solve to ``max_iters``;
     - ``no_decrease``: trials were rejected until the predicted decrease of
       the damped step fell to that bound;
     - ``max_iters``: ``max_iters`` steps were accepted.
@@ -181,8 +183,7 @@ def _minimize(f, x0, max_iters, step_size, tolerance, on_accept=None):
     if on_accept is not None:
         on_accept()
     values = [float(current[0])]
-    mu0 = 1.0 / float(step_size)
-    mu, nu = mu0, 2.0
+    mu0, nu = None, 2.0
     eye = np.eye(x.shape[0])
     stop_reason = "max_iters"
     for _ in range(int(max_iters)):
@@ -198,6 +199,8 @@ def _minimize(f, x0, max_iters, step_size, tolerance, on_accept=None):
             stop_reason = "zero_gradient"
             break
         hessian = 2.0 * (jac.T @ jac)
+        if mu0 is None:  # top = mu0 > 0, as J is not 0 where 2 J'r is not
+            mu = _DAMPING_START * (mu0 := float(hessian.diagonal().max()))
 
         def model_step(damping):
             d = np.linalg.solve(hessian + damping * eye, -g)
@@ -292,12 +295,12 @@ def _twist_derivatives(rest_kp: KeypointSet, tf: BoneTransformSet, tree):
 def _poser(rest_kp, target_kp, tree):
     """The map from twists (wrapped here; stacks too) to the bone transforms
     posing ``rest_kp`` onto ``target_kp`` (or a stack), rooted at its root. IK's
-    twist-free setup runs once, here: a call runs only ``_ik_twists`` and FK."""
+    twist-free setup and its checks run once, here: a call runs only
+    ``_ik_twists`` and FK, which check nothing again."""
     setup, root = _ik_setup(rest_kp, target_kp, tree), target_kp.joints[..., 0, :]
 
     def pose(twists):
-        rel = _ik_twists(setup, TwistAngles.wrap(twists), tree)
-        return forward_kinematics(rest_kp, rel, tree, root_position=root)
+        return _fk(rest_kp, _ik_twists(setup, _wrap(twists), tree), tree, root)
 
     return pose
 
@@ -394,9 +397,7 @@ def _solve_twists(
         history.append(latest[0])
 
     opt = config.optimizer
-    x, _, stop_reason = _minimize(
-        objective, x0, opt.max_iters, opt.step_size, opt.tolerance, on_accept=accept
-    )
+    x, _, stop_reason = _minimize(objective, x0, opt.max_iters, opt.tolerance, on_accept=accept)
     return x, stop_reason, history, *accepted[2:]
 
 

@@ -208,13 +208,34 @@ def test_transfer_config_typo_exits_1(puppet_files, capsys):
     assert err.startswith("error: unknown optimizer keys: ['max_iter']")
 
 
+def test_transfer_config_with_the_deleted_optimizer_step_size_exits_1(puppet_files, capsys):
+    # the twist solve's damping starts from the problem's curvature, so the
+    # key that set it is gone, and a config that still sets it says so
+    d, _ = puppet_files
+    config = {"tree": "tree.json", "optimizer": {"max_iters": 3, "step_size": 1.0}}
+    (d / "config.json").write_text(json.dumps(config))
+    code = main([
+        "transfer",
+        "--source", str(d / "rest.obj"),
+        "--source-kp", str(d / "rest_kp.json"),
+        "--target-kp", str(d / "posed_kp.json"),
+        "--config", str(d / "config.json"),
+        "--out", str(d / "out"),
+    ])
+    assert code == 1
+    out = capsys.readouterr()
+    assert out.err.splitlines() == ["error: unknown optimizer keys: ['step_size']"]
+    assert "Traceback" not in out.err + out.out
+    assert not (d / "out").exists()
+
+
 @pytest.mark.parametrize(
     "block, message",
     [
         ({"optimizer": {"seed": 0}}, "unknown optimizer keys: ['seed']"),
         ({"refinement": {"enabled": "false"}}, "refinement.enabled must be true or false"),
         ({"gmm": {"optimize_radii": "no"}}, "gmm.optimize_radii must be true or false"),
-        ({"optimizer": {"step_size": 0}}, "optimizer.step_size must be positive"),
+        ({"refinement": {"step_size": 0}}, "refinement.step_size must be positive"),
         ({"gmm": {"radii": [0.5, float("nan")]}}, "radii must be finite and positive"),
         (
             {"gmm": {"radii": [0.5, -0.5], "optimize_radii": True}},
@@ -227,7 +248,7 @@ def test_transfer_config_typo_exits_1(puppet_files, capsys):
         ({"optimizer": {"tolerance": -1.0}}, "optimizer.tolerance must be nonnegative"),
         ({"refinement": {"ridge": -1.0}}, "refinement.ridge must be nonnegative"),
         ({"optimizer": {"tolerance": HUGE_INT}}, "optimizer.tolerance must be a finite number"),
-        ({"optimizer": {"step_size": HUGE_INT}}, "optimizer.step_size must be a finite number"),
+        ({"refinement": {"step_size": HUGE_INT}}, "refinement.step_size must be a finite number"),
         ({"refinement": {"ridge": HUGE_INT}}, "refinement.ridge must be a finite number"),
         ({"loss_weights": {"cycle": HUGE_INT}}, "loss_weights.cycle must be a finite nonnegative"),
         ({"gmm": {"temperature": HUGE_INT}}, "gmm.temperature must be a finite number"),
